@@ -174,9 +174,10 @@ let search_conv =
   Arg.conv ~docv:"MODE" (parse, print)
 
 let search_doc =
-  "Valuation-search strategy: $(b,seq) (baseline), $(b,inc) (incremental \
-   constraint checking), $(b,par) or $(b,par:N) (incremental + N-way parallel \
-   first-level split; verdicts are identical across modes)"
+  "Valuation-search strategy: $(b,seq) (one domain, delta-first constraint \
+   checking; $(b,inc) is accepted as another spelling of it), $(b,par) or \
+   $(b,par:N) (the same checker + N-way parallel first-level split; verdicts \
+   are identical across modes)"
 
 let search_arg =
   Arg.(value & opt search_conv Search_mode.Seq & info [ "search" ] ~doc:search_doc)

@@ -72,12 +72,14 @@ val decide :
     it runs out the search aborts with {!Budget.Exhausted}, after
     writing the partial counters into [collect_stats] so the caller
     can report how much work a timed-out decide had done.  [search]
-    (default [Seq]) selects the execution strategy of the valuation
+    (default [Seq], one domain on the delta-first
+    {!Ric_constraints.Incremental} checker; ["inc"] is another
+    spelling of it) selects the execution strategy of the valuation
     search — see {!Search_mode}; verdicts are identical across modes.
 
     [profile] (explain mode) accumulates a request-scoped explain
     profile: per-search-level step and prune counts, per-constraint
-    prune attribution, and decider/mode/checker notes — see
+    prune attribution, and decider/mode notes — see
     {!Ric_obs.Profile}.  Partial counts survive budget exhaustion.
     When omitted (the default) the hot path pays one option match per
     candidate and allocates nothing.

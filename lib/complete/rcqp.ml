@@ -162,7 +162,7 @@ let occurrences (tab : Tableau.t) x =
 (* ------------------------------------------------------------------ *)
 (* LC = INDs: Proposition 4.3 / Theorem 4.5(1).  Exact and cheap. *)
 
-let ind_witness ~clock ?checker ?profile ~budget ~schema ~master ~ccs ~adom tableaux =
+let ind_witness ~clock ~checker ?profile ~budget ~schema ~adom tableaux =
   let module VS = Set.Make (Value) in
   let witness = ref (Database.empty schema) in
   let count = ref 0 in
@@ -180,7 +180,7 @@ let ind_witness ~clock ?checker ?profile ~budget ~schema ~master ~ccs ~adom tabl
       let covered : (string, VS.t) Hashtbl.t = Hashtbl.create 8 in
       let got_any = ref false in
       let (_ : bool) =
-        Valuation_search.iter_valid ~budget:clock ?checker ?profile ~master ~ccs
+        Valuation_search.iter_valid ~budget:clock ~checker ?profile
           ~mode:`Delta_only ~adom tab
           (fun mu delta ->
             incr count;
@@ -255,24 +255,17 @@ let decide_ind_core ~clock ~search ~profile ~schema ~master ~inds q =
   Budget.check_now clock;
   let ucq = as_ucq_or_raise "RCQP" q in
   let ccs = List.map (Ind.to_cc schema) inds in
-  (* RCQP has no single top-level fan-out point, so [Par] runs as the
-     incremental mode inside this decider; only the RCDP verification
-     of candidate witnesses sees the same mapping. *)
-  let checker =
-    match search with
-    | Search_mode.Seq -> None
-    | Search_mode.Inc | Search_mode.Par _ ->
-      Some (Incremental.create ~schema ~master ccs)
-  in
+  (* RCQP has no single top-level fan-out point, so [Par] runs on one
+     domain inside this decider; only the RCDP verification of
+     candidate witnesses sees the same mapping. *)
+  let checker = Incremental.create ~schema ~master ccs in
   (match profile with
    | Some p ->
      Profile.note p "decider" "rcqp_ind";
-     Profile.note p "mode" (Search_mode.to_string search);
-     Profile.note p "checker"
-       (match checker with Some _ -> "incremental" | None -> "compiled")
+     Profile.note p "mode" (Search_mode.to_string search)
    | None -> ());
   let inner_search =
-    match search with Search_mode.Par _ -> Search_mode.Inc | s -> s
+    match search with Search_mode.Par _ -> Search_mode.Seq | s -> s
   in
   let tableaux = satisfiable_tableaux schema ucq in
   if tableaux = [] then
@@ -286,8 +279,8 @@ let decide_ind_core ~clock ~search ~profile ~schema ~master ~inds q =
     let live =
       List.filter
         (fun tab ->
-          Valuation_search.iter_valid ~budget:clock ?checker ?profile ~master
-            ~ccs ~mode:`Delta_only ~adom tab
+          Valuation_search.iter_valid ~budget:clock ~checker ?profile
+            ~mode:`Delta_only ~adom tab
             (fun _ _ -> true))
         tableaux
     in
@@ -330,8 +323,8 @@ let decide_ind_core ~clock ~search ~profile ~schema ~master ~inds q =
           }
       | None ->
         let witness =
-          ind_witness ~clock ?checker ?profile ~budget:default_budget ~schema
-            ~master ~ccs ~adom live
+          ind_witness ~clock ~checker ?profile ~budget:default_budget ~schema
+            ~adom live
         in
         let witness =
           match witness with
@@ -417,22 +410,19 @@ let visible_columns cc_tableaux =
     cc_tableaux;
   fun rel i -> Hashtbl.mem visible (rel, i)
 
-let candidate_pool ?(truncate = false) ?(clock = Budget.unlimited) ?checker
-    ?profile ~budget ~schema ~master ~adom ccs =
+let candidate_pool ?(truncate = false) ?(clock = Budget.unlimited) ~checker
+    ?profile ~budget ~schema ~adom ccs =
   Trace.with_span "rcqp.candidate_pool" @@ fun sp ->
   Trace.set_bool sp "truncating" truncate;
-  (* a singleton's parent state is the empty database, so the delta
-     check applies whenever the empty database is consistent; both
-     paths run on the compiled kernel with the singleton as the
-     interned overlay over an empty base *)
+  (* a singleton's parent state is the empty database: when that is
+     consistent the delta check is exact, with the singleton as the
+     interned overlay over an empty base; when it is not, no set is
+     consistent (the constraints are monotone) *)
   let empty_db = Database.empty schema in
-  let empty_comp = lazy (Compiled.create ~base:empty_db ~master ccs) in
   let singleton_ok single rel tuple =
-    match checker with
-    | Some inc when Incremental.empty_ok inc ->
-      Incremental.check_add_overlay inc ~base:empty_db ~delta:single ~db:single
-        ~rel ~tuple
-    | _ -> Compiled.check (Lazy.force empty_comp) ~db:single ~delta:single
+    Incremental.empty_ok checker
+    && Incremental.check_add_overlay checker ~base:empty_db ~delta:single
+         ~db:single ~rel ~tuple
   in
   let pool = ref [] in
   let count = ref 0 in
@@ -556,8 +546,8 @@ type e2_witness = {
    valid valuation [μ] that stays live — [(D_V ∪ μ(T), Dm) ⊨ V] — may
    leave such a variable outside [bvals].  Returns the first offending
    live valuation, or [None] when the condition holds. *)
-let e2_condition ~clock ~checker ~profile ~master ~ccs ~adom ~reserved
-    ~tableaux ~dv ~bvals =
+let e2_condition ~clock ~checker ~profile ~adom ~reserved ~tableaux ~dv
+    ~bvals =
   (* Witness preference: a live valuation whose stray output values
      all come from the reserved query-tier fresh values can never be
      bounded by any valuation set (the candidate pool cannot even
@@ -575,8 +565,8 @@ let e2_condition ~clock ~checker ~profile ~master ~ccs ~adom ~reserved
         | inf_vars ->
           let found_any = ref false in
           let (_ : bool) =
-            Valuation_search.iter_valid ~budget:clock ?checker ?profile ~master
-              ~ccs ~mode:(`Against_base dv) ~adom tab
+            Valuation_search.iter_valid ~budget:clock ~checker ?profile
+              ~mode:(`Against_base dv) ~adom tab
               (fun mu delta ->
                 let unbounded =
                   List.filter_map
@@ -654,8 +644,8 @@ let may_block ~schema ~cc_tableaux c delta =
    blocking μ* needs at least one candidate tuple joined with μ*'s
    tuples, and bounding needs a summary hit), so directed branching is
    exact; memoisation collapses permutations of the same set. *)
-let e2_search ~clock ?checker ?profile ~budget ~schema ~master ~ccs ~adom
-    ~reserved ~tableaux pool =
+let e2_search ~clock ~checker ?profile ~budget ~schema ~ccs ~adom ~reserved
+    ~tableaux pool =
   Trace.with_span "rcqp.e2_search" @@ fun sp ->
   let pool = Array.of_list pool in
   let n = Array.length pool in
@@ -673,15 +663,13 @@ let e2_search ~clock ?checker ?profile ~budget ~schema ~master ~ccs ~adom
   (* DFS invariant: [dfs] only recurses into consistent sets, and the
      root is the empty database — so when the empty database passes
      the full check, every [dv'] here grows a consistent parent by one
-     tuple and the delta check applies. *)
+     tuple and the delta check applies; when it fails, no set is
+     consistent (the constraints are monotone). *)
   let empty_db = Database.empty schema in
-  let empty_comp = lazy (Compiled.create ~base:empty_db ~master ccs) in
   let consistent_add dv' rel tuple =
-    match checker with
-    | Some inc when Incremental.empty_ok inc ->
-      Incremental.check_add_overlay inc ~base:empty_db ~delta:dv' ~db:dv' ~rel
-        ~tuple
-    | _ -> Compiled.check (Lazy.force empty_comp) ~db:dv' ~delta:dv'
+    Incremental.empty_ok checker
+    && Incremental.check_add_overlay checker ~base:empty_db ~delta:dv' ~db:dv'
+         ~rel ~tuple
   in
   let found = ref None in
   let rec dfs members dv bvals =
@@ -695,8 +683,8 @@ let e2_search ~clock ?checker ?profile ~budget ~schema ~master ~ccs ~adom
         if !nodes > budget.max_nodes then
           raise (Budget_exceeded "E2 search exceeded its node budget");
         match
-          e2_condition ~clock ~checker ~profile ~master ~ccs ~adom ~reserved
-            ~tableaux ~dv ~bvals
+          e2_condition ~clock ~checker ~profile ~adom ~reserved ~tableaux ~dv
+            ~bvals
         with
         | None -> found := Some dv
         | Some w ->
@@ -733,16 +721,36 @@ let e2_search ~clock ?checker ?profile ~budget ~schema ~master ~ccs ~adom
   Trace.set_bool sp "found" (!found <> None);
   !found
 
+(* [base] grown by [delta]'s tuples one at a time, if every step keeps
+   the constraints; [base] itself must satisfy them.  Checking each
+   insertion is exact: a consistent final state has consistent
+   prefixes, because the constraints are monotone. *)
+let consistent_extension ~checker base delta =
+  let step rel tuple (added, db) =
+    if Relation.mem tuple (Database.relation db rel) then (added, db)
+    else
+      let added = Database.add_tuple added rel tuple in
+      let db = Database.add_tuple db rel tuple in
+      if Incremental.check_add_overlay checker ~base ~delta:added ~db ~rel ~tuple
+      then (added, db)
+      else raise_notrace Exit
+  in
+  match
+    Database.fold
+      (fun rel tuples acc -> Relation.fold (step rel) tuples acc)
+      delta
+      (Database.empty (Database.schema base), base)
+  with
+  | _, db -> Some db
+  | exception Exit -> None
+
 (* E1/E5 witness: a maximal collection of tableau instantiations over
    the active domain.  One pass suffices: rejections are final because
    violations persist under growth. *)
-let greedy_maximal_witness ?(clock = Budget.unlimited) ?profile ~budget ~schema
-    ~master ~ccs ~adom tableaux =
+let greedy_maximal_witness ?(clock = Budget.unlimited) ?profile ~checker ~budget
+    ~schema ~adom tableaux =
   Trace.with_span "rcqp.witness_greedy" @@ fun _sp ->
   let dw = ref (Database.empty schema) in
-  (* one compiled checker for the whole greedy pass: RHS projections
-     evaluated once, candidate databases joined as interned overlays *)
-  let comp = Compiled.create ~base:(Database.empty schema) ~master ccs in
   let count = ref 0 in
   let ticks = ref 0 in
   let exceeded = ref false in
@@ -767,11 +775,14 @@ let greedy_maximal_witness ?(clock = Budget.unlimited) ?profile ~budget ~schema
                 true
               end
               else begin
-                if Tableau.neqs_ok tab mu then begin
-                  let delta = Tableau.instantiate tab mu in
-                  let candidate = Database.union !dw delta in
-                  if Compiled.check comp ~db:candidate ~delta:candidate then
-                    dw := candidate
+                (* an inconsistent empty database admits no set *)
+                if Tableau.neqs_ok tab mu && Incremental.empty_ok checker then begin
+                  match
+                    consistent_extension ~checker !dw
+                      (Tableau.instantiate tab mu)
+                  with
+                  | Some candidate -> dw := candidate
+                  | None -> ()
                 end;
                 false
               end)
@@ -900,7 +911,7 @@ let verify_witness ?clock ?search ?profile ~schema ~master ~ccs q w =
    the master data in"), a few valid tableau instantiations, a few
    constraint-template instantiations, and a few pairwise unions.
    Each candidate costs a full RCDP run, so the list is kept short. *)
-let heuristic_witness ~clock ?checker ?search ?profile ~budget ~schema ~master
+let heuristic_witness ~clock ~checker ?search ?profile ~budget ~schema ~master
     ~ccs ~adom ~tableaux q =
   Trace.with_span "rcqp.witness_heuristic" @@ fun _sp ->
   let max_verifications = 24 in
@@ -909,7 +920,7 @@ let heuristic_witness ~clock ?checker ?search ?profile ~budget ~schema ~master
     let small =
       { budget with max_valuations = min budget.max_valuations 50_000 }
     in
-    greedy_maximal_witness ?profile ~budget:small ~schema ~master ~ccs
+    greedy_maximal_witness ?profile ~checker ~budget:small ~schema
       ~adom:
         (Adom.build ~schemas:[ schema ] ~master:(Database.empty (Database.schema master))
            ~cc_constants:(Adom.constants adom) ~query_constants:[] ~fresh_count:0 ())
@@ -920,8 +931,8 @@ let heuristic_witness ~clock ?checker ?search ?profile ~budget ~schema ~master
   List.iter
     (fun tab ->
       let (_ : bool) =
-        Valuation_search.iter_valid ~budget:clock ?checker ?profile ~master
-          ~ccs ~mode:`Delta_only ~adom tab
+        Valuation_search.iter_valid ~budget:clock ~checker ?profile
+          ~mode:`Delta_only ~adom tab
           (fun _ delta ->
             incr count;
             singles := delta :: !singles;
@@ -930,8 +941,8 @@ let heuristic_witness ~clock ?checker ?search ?profile ~budget ~schema ~master
       ())
     tableaux;
   let pool =
-    candidate_pool ~truncate:true ~clock ?checker ?profile ~budget ~schema
-      ~master ~adom ccs
+    candidate_pool ~truncate:true ~clock ~checker ?profile ~budget ~schema
+      ~adom ccs
   in
   let template_singles =
     List.filteri (fun i _ -> i < 6) pool
@@ -956,23 +967,16 @@ let decide_core ~clock ~search ~profile ~budget ~schema ~master ~ccs q =
   Budget.check_now clock;
   require_monotone_ccs ccs;
   (* one checker per decide call, threaded to every search site; [Par]
-     runs as the incremental mode here — RCQP's searches are many small
-     nested enumerations with no single fan-out point worth a pool *)
-  let checker =
-    match search with
-    | Search_mode.Seq -> None
-    | Search_mode.Inc | Search_mode.Par _ ->
-      Some (Incremental.create ~schema ~master ccs)
-  in
+     runs on one domain here — RCQP's searches are many small nested
+     enumerations with no single fan-out point worth a pool *)
+  let checker = Incremental.create ~schema ~master ccs in
   (match profile with
    | Some p ->
      Profile.note p "decider" "rcqp";
-     Profile.note p "mode" (Search_mode.to_string search);
-     Profile.note p "checker"
-       (match checker with Some _ -> "incremental" | None -> "compiled")
+     Profile.note p "mode" (Search_mode.to_string search)
    | None -> ());
   let inner_search =
-    match search with Search_mode.Par _ -> Search_mode.Inc | s -> s
+    match search with Search_mode.Par _ -> Search_mode.Seq | s -> s
   in
   let ucq = as_ucq_or_raise "RCQP" q in
   let tableaux = satisfiable_tableaux schema ucq in
@@ -988,8 +992,8 @@ let decide_core ~clock ~search ~profile ~budget ~schema ~master ~ccs q =
       (* E1 / E5 *)
       let witness =
         match
-          greedy_maximal_witness ~clock ?profile ~budget ~schema ~master ~ccs
-            ~adom tableaux
+          greedy_maximal_witness ~clock ?profile ~checker ~budget ~schema ~adom
+            tableaux
         with
         | Some w
           when verify_witness ~clock ~search:inner_search ?profile ~schema
@@ -1018,7 +1022,7 @@ let decide_core ~clock ~search ~profile ~budget ~schema ~master ~ccs q =
       | None ->
         (try
            let pool =
-             candidate_pool ~clock ?checker ?profile ~budget ~schema ~master
+             candidate_pool ~clock ~checker ?profile ~budget ~schema
                ~adom:adom_pool ccs
            in
            let reserved =
@@ -1027,8 +1031,8 @@ let decide_core ~clock ~search ~profile ~budget ~schema ~master ~ccs q =
                (List.filter (fun f -> not (VS.mem f pool_fresh)) (Adom.fresh adom))
            in
            match
-             e2_search ~clock ?checker ?profile ~budget ~schema ~master ~ccs
-               ~adom ~reserved ~tableaux pool
+             e2_search ~clock ~checker ?profile ~budget ~schema ~ccs ~adom
+               ~reserved ~tableaux pool
            with
            | Some dv ->
              let witness =
@@ -1063,7 +1067,7 @@ let decide_core ~clock ~search ~profile ~budget ~schema ~master ~ccs q =
                }
          with Budget_exceeded why ->
            (match
-              heuristic_witness ~clock ?checker ~search:inner_search ?profile
+              heuristic_witness ~clock ~checker ~search:inner_search ?profile
                 ~budget ~schema ~master ~ccs ~adom ~tableaux q
             with
             | Some w ->

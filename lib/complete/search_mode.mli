@@ -1,16 +1,16 @@
 (** How the deciders run the valuation search.
 
-    All three modes return identical verdicts; they differ only in how
-    the work is done:
+    Every mode checks constraints through the one delta-first
+    {!Ric_constraints.Incremental} checker (indexed by relation, delta
+    evaluation for monotone-UCQ LHS queries) and returns identical
+    verdicts; they differ only in how the search tree is walked:
 
-    - [Seq] — the seed behaviour: one domain, every containment
-      constraint re-evaluated in full after each tuple extension.
-    - [Inc] — one domain, constraints checked through
-      {!Ric_constraints.Incremental}: indexed by relation, delta
-      evaluation for monotone-UCQ LHS queries.
-    - [Par n] — the incremental checker plus a top-level fan-out of the
-      first split variable's candidates across [n] worker domains, with
-      first-witness cancellation. *)
+    - [Seq] — one domain.  The default.
+    - [Inc] — another spelling of [Seq] (the ["inc"] that clients and
+      journals send): the same engine, kept so that spelling still
+      parses, prints and counts under its own stats bucket.
+    - [Par n] — a top-level fan-out of the search tree across [n]
+      worker domains, with first-witness cancellation. *)
 
 type t =
   | Seq

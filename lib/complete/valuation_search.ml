@@ -57,18 +57,17 @@ let rec remove_one a = function
   | [] -> []
   | x :: rest -> if x == a then rest else x :: remove_one a rest
 
-(* An incremental checker is only usable when its parent invariant
-   holds at the search root: every CC satisfied by the initial check
-   database.  Otherwise fall back to full per-candidate checks, which
-   reproduces the seed behaviour (including its verdicts and prune
-   counts) exactly. *)
-let resolve checker ~mode =
-  match checker with
-  | None -> None
-  | Some inc ->
-    (match mode with
-     | `Delta_only -> if Incremental.empty_ok inc then Some inc else None
-     | `Against_base db -> if Incremental.full inc ~db then Some inc else None)
+(* The checker's parent invariant at the search root: every CC holds
+   on the initial check database.  The deciders admit only monotone
+   CCs, so when the root already violates V every extension does too
+   and no valuation can pass. *)
+let root_violated chk ~mode (tab : Tableau.t) =
+  (* a tableau without atoms visits the root as it stands *)
+  tab.Tableau.patterns <> []
+  &&
+  match mode with
+  | `Delta_only -> not (Incremental.empty_ok chk)
+  | `Against_base db -> not (Incremental.full chk ~db)
 
 (* [base_of mode tab] — the fixed part of every checked database; the
    per-step checkers index it once and overlay the growing delta. *)
@@ -94,7 +93,7 @@ type level = {
   l_width : int; (* candidate combinations at this level (capped) *)
 }
 
-let plan_levels ~adom ~init_vars (tab : Tableau.t) =
+let plan_levels ~adom (tab : Tableau.t) =
   let var_doms = Tableau.var_domains tab in
   let cands x =
     match List.assoc_opt x var_doms with
@@ -102,7 +101,6 @@ let plan_levels ~adom ~init_vars (tab : Tableau.t) =
     | None -> Adom.candidates adom Domain.Infinite
   in
   let bound = Hashtbl.create 16 in
-  List.iter (fun x -> Hashtbl.replace bound x ()) init_vars;
   let unbound a =
     List.filter (fun x -> not (Hashtbl.mem bound x)) (Atom.vars a)
   in
@@ -136,11 +134,11 @@ let plan_levels ~adom ~init_vars (tab : Tableau.t) =
   Array.of_list (go [] tab.Tableau.patterns)
 
 (* Everything immutable a search shares across branches (and, in par
-   mode, across worker domains): the checker's internals are
-   mutex/atomic-guarded, the databases persistent. *)
+   mode, across worker domains): the checker's index store is
+   atomic/mutex-guarded, the databases persistent. *)
 type ctx = {
   c_tab : Tableau.t;
-  c_chk : [ `Inc of Incremental.t | `Full of Compiled.t ];
+  c_chk : Incremental.t;
   c_mode : [ `Against_base of Database.t | `Delta_only ];
   c_base : Database.t;
   c_levels : level array;
@@ -193,28 +191,19 @@ let expand ctx ~budget ~prof ~on_prune lv mu delta combined child =
         in
         (match prof with
          | None ->
-           let ok =
-             match ctx.c_chk with
-             | `Inc c ->
-               Incremental.check_add_overlay c ~base:ctx.c_base ~delta:delta'
-                 ~db:check_db ~rel:a.Atom.rel ~tuple
-             | `Full comp -> Compiled.check comp ~db:check_db ~delta:delta'
-           in
-           if ok then child mu' delta' combined'
+           if
+             Incremental.check_add_overlay ctx.c_chk ~base:ctx.c_base
+               ~delta:delta' ~db:check_db ~rel:a.Atom.rel ~tuple
+           then child mu' delta' combined'
            else begin
              on_prune ();
              false
            end
          | Some sr -> (
-           let violated =
-             match ctx.c_chk with
-             | `Inc c ->
-               Incremental.check_add_overlay_explain c ~base:ctx.c_base
-                 ~delta:delta' ~db:check_db ~rel:a.Atom.rel ~tuple
-             | `Full comp ->
-               Compiled.check_explain comp ~db:check_db ~delta:delta'
-           in
-           match violated with
+           match
+             Incremental.check_add_overlay_explain ctx.c_chk ~base:ctx.c_base
+               ~delta:delta' ~db:check_db ~rel:a.Atom.rel ~tuple
+           with
            | None -> child mu' delta' combined'
            | Some _ as cc ->
              Profile.prune sr lv cc;
@@ -231,19 +220,11 @@ let rec dfs ctx ~budget ~prof ~on_prune ~visit lv mu delta combined =
 let level_names levels =
   Array.map (fun l -> l.l_atom.Atom.rel) levels
 
-(* [chk] is the per-step constraint checker, resolved once per search:
-   [`Inc] when the incremental checker's parent invariant holds at the
-   root, else [`Full], a compiled whole-check over the same base.
-   Both receive the delta explicitly so joins run over persistent
-   base indexes plus a small interned overlay. *)
-let run ~budget ~profile ~chk ~mode ~adom ~on_prune ~init (tab : Tableau.t)
-    visit =
-  Budget.check_now budget;
-  let levels =
-    plan_levels ~adom
-      ~init_vars:(List.map fst (Valuation.bindings init))
-      tab
-  in
+(* [chk] checks each step against [base_of mode tab] plus the growing
+   delta, joined over persistent base indexes with the delta as a
+   small interned overlay. *)
+let run ~budget ~profile ~chk ~mode ~adom ~on_prune (tab : Tableau.t) visit =
+  let levels = plan_levels ~adom tab in
   let ctx =
     {
       c_tab = tab;
@@ -253,36 +234,33 @@ let run ~budget ~profile ~chk ~mode ~adom ~on_prune ~init (tab : Tableau.t)
       c_levels = levels;
     }
   in
-  match profile with
-  | None ->
-    dfs ctx ~budget ~prof:None ~on_prune ~visit 0 init
+  let go prof =
+    dfs ctx ~budget ~prof ~on_prune ~visit 0 Valuation.empty
       (Database.empty tab.Tableau.schema)
       ctx.c_base
+  in
+  match profile with
+  | None -> go None
   | Some p ->
     (* merge even when the budget exhausts mid-search: a timeout
        verdict still reports where the spent steps went *)
     let sr = Profile.start_search p ~names:(level_names levels) in
     Fun.protect ~finally:(fun () -> Profile.finish_search p sr) @@ fun () ->
-    dfs ctx ~budget ~prof:(Some sr) ~on_prune ~visit 0 init
-      (Database.empty tab.Tableau.schema)
-      ctx.c_base
+    go (Some sr)
 
-let iter_valid ?(budget = Budget.unlimited) ?checker ?profile ~master ~ccs
-    ~mode ~adom ?(on_prune = fun () -> ()) (tab : Tableau.t) visit =
+let iter_valid ?(budget = Budget.unlimited) ?profile ~checker ~mode ~adom
+    ?(on_prune = fun () -> ()) (tab : Tableau.t) visit =
   Budget.check_now budget;
-  let chk =
-    match resolve checker ~mode with
-    | Some c -> `Inc c
-    | None -> `Full (Compiled.create ~base:(base_of mode tab) ~master ccs)
-  in
-  run ~budget ~profile ~chk ~mode ~adom ~on_prune ~init:Valuation.empty tab
-    visit
+  if root_violated checker ~mode tab then false
+  else run ~budget ~profile ~chk:checker ~mode ~adom ~on_prune tab visit
 
 (* A frontier task is one subtree of the sequential search tree: "all
    levels below [t_lv] under this partial state".  Tasks exist only at
    atom boundaries, so executing every task exactly once reproduces the
-   sequential tree node for node — step totals, prune counts and
-   verdicts all coincide with seq mode. *)
+   sequential tree node for node: on an exhaustive search, step totals,
+   prune counts and verdicts all coincide with seq mode.  A first
+   witness stops the workers wherever they are, so only the verdict is
+   guaranteed to coincide then. *)
 type task = {
   t_lv : int;
   t_mu : Valuation.t;
@@ -320,9 +298,8 @@ let depth_cap = 8
    records the error, trips the stop flag and the coordinator re-raises
    — a crash can cost duplicated work, never a hang or a wrong
    verdict. *)
-let iter_valid_par ?(budget = Budget.unlimited) ?checker ?profile ~domains
-    ~master ~ccs ~mode ~adom ?(on_prune = fun () -> ()) (tab : Tableau.t) visit
-    =
+let iter_valid_par ?(budget = Budget.unlimited) ?profile ~checker ~domains
+    ~mode ~adom ?(on_prune = fun () -> ()) (tab : Tableau.t) visit =
   Budget.check_now budget;
   (* [domains] partitions the work; the pool never runs more worker
      domains than the machine has cores — oversubscribing a saturated
@@ -338,27 +315,22 @@ let iter_valid_par ?(budget = Budget.unlimited) ?checker ?profile ~domains
     | _ -> Stdlib.Domain.recommended_domain_count ()
   in
   let workers = max 1 (min domains clamp) in
-  let levels = plan_levels ~adom ~init_vars:[] tab in
+  let levels = plan_levels ~adom tab in
   let splittable = Array.exists (fun l -> l.l_width >= 2) levels in
   if workers <= 1 || not splittable then
     (* one worker, or no level branches at all: the frontier cannot
        produce parallelism, so run the sequential engine directly —
        same tree, zero coordination overhead *)
-    iter_valid ~budget ?checker ?profile ~master ~ccs ~mode ~adom ~on_prune tab
-      visit
+    iter_valid ~budget ?profile ~checker ~mode ~adom ~on_prune tab visit
+  else if root_violated checker ~mode tab then false
   else begin
-    (* one checker for every worker: the compiled store and the
-       incremental counters are atomic/mutex-guarded, so sharing across
-       domains is safe and keeps index reuse across subtrees *)
-    let chk =
-      match resolve checker ~mode with
-      | Some c -> `Inc c
-      | None -> `Full (Compiled.create ~base:(base_of mode tab) ~master ccs)
-    in
+    (* one checker for every worker: its index store is
+       atomic/mutex-guarded, so sharing across domains is safe and
+       keeps index reuse across subtrees *)
     let ctx =
       {
         c_tab = tab;
-        c_chk = chk;
+        c_chk = checker;
         c_mode = mode;
         c_base = base_of mode tab;
         c_levels = levels;

@@ -11,13 +11,15 @@
     violation can never be repaired by binding more variables, so the
     whole subtree is pruned.
 
-    Both entry points take an optional {!Ric_constraints.Incremental}
-    checker; when its parent invariant holds at the search root the
-    per-extension check touches only the constraints reading the grown
-    relation (and, for monotone-UCQ constraints, only the joins through
-    the new tuple), otherwise the search silently falls back to full
-    {!Ric_constraints.Containment.holds_all} checks.  Verdicts are
-    identical either way. *)
+    Both entry points check through the decide's
+    {!Ric_constraints.Incremental} checker: the root state is checked
+    in full once, then each extension step touches only the
+    constraints reading the grown relation (and, for monotone-UCQ
+    constraints, only the joins through the new tuple).  When the root
+    state already violates the constraints, no extension can satisfy
+    them (they are monotone), so the search returns [false] without
+    enumerating — except for a tableau with no atoms, whose single
+    valuation is visited as it stands. *)
 
 open Ric_relational
 open Ric_query
@@ -25,17 +27,15 @@ open Ric_constraints
 
 val iter_valid :
   ?budget:Budget.t ->
-  ?checker:Incremental.t ->
   ?profile:Ric_obs.Profile.t ->
-  master:Database.t ->
-  ccs:Containment.t list ->
+  checker:Incremental.t ->
   mode:[ `Against_base of Database.t | `Delta_only ] ->
   adom:Adom.t ->
   ?on_prune:(unit -> unit) ->
   Tableau.t ->
   (Valuation.t -> Database.t -> bool) ->
   bool
-(** [iter_valid ~master ~ccs ~mode ~adom tab visit] calls
+(** [iter_valid ~checker ~mode ~adom tab visit] calls
     [visit μ Δ] — with [Δ = μ(T)] — for every valid valuation whose
     extension passes the constraint check; stops early when [visit]
     returns [true] and reports whether any visit did.  [budget]
@@ -51,11 +51,9 @@ val iter_valid :
 
 val iter_valid_par :
   ?budget:Budget.t ->
-  ?checker:Incremental.t ->
   ?profile:Ric_obs.Profile.t ->
+  checker:Incremental.t ->
   domains:int ->
-  master:Database.t ->
-  ccs:Containment.t list ->
   mode:[ `Against_base of Database.t | `Delta_only ] ->
   adom:Adom.t ->
   ?on_prune:(unit -> unit) ->
@@ -66,9 +64,11 @@ val iter_valid_par :
     [domains] worker domains stealing subtree tasks from a shared
     lock-free frontier.  The instantiation order is computed once up
     front (the greedy pick depends only on the bound-variable set), so
-    the parallel tree is node-for-node the sequential tree: verdicts,
-    step totals and prune counts all coincide with {!iter_valid} on
-    exhaustive searches.  A worker that pops a task runs its whole
+    the parallel tasks partition the sequential tree: verdicts, step
+    totals and prune counts all coincide with {!iter_valid} on
+    exhaustive searches.  A search that stops at a first witness ends
+    wherever the racing workers are, so its step and prune counts may
+    differ from a sequential run's (the verdict does not).  A worker that pops a task runs its whole
     subtree inline unless the frontier is starved (fewer queued tasks
     than workers), in which case it expands one atom level and pushes
     each surviving child subtree — skewed partitions split below the
@@ -78,8 +78,8 @@ val iter_valid_par :
     [visit] and [on_prune] are serialised under one mutex (prunes are
     batched per task), so rcdp's counting visitors need no changes.
     [profile] recording is per-worker (private arrays, merged once when
-    the worker stops); because the parallel tree is node-for-node the
-    sequential tree, the merged profile equals the sequential one.
+    the worker stops); on an exhaustive search the merged profile
+    equals the sequential one.
     The first visit returning [true] cancels the sibling workers
     through a per-call stop flag.  Step accounting uses one shared
     atomic counter ({!Budget.fork_shared}), so the family can never

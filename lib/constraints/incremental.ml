@@ -2,58 +2,55 @@ open Ric_relational
 open Ric_query
 
 (* One pinned-atom probe: when a tuple lands in the probe's relation,
-   unify it against [p_args]; on success, join the remaining atoms over
-   the whole database and check every resulting head tuple against the
-   cached RHS.  One probe per atom occurrence of each normalized
-   disjunct, so a new tuple matched at any position is found. *)
+   unify it against [p_args]; on success, join the rest of the
+   disjunct ([p_plan]) and check every resulting head tuple against
+   the cached RHS.  Arguments, plan and head are encoded against one
+   slot space, so a probe run is int unification plus a kernel join
+   over persistent indexes.  One probe per atom occurrence of each
+   normalized disjunct, so a new tuple matched at any position is
+   found. *)
 type probe = {
-  p_args : Term.t list;
-  p_rest : Atom.t list;
-  p_head : Term.t list;
-  p_neqs : (Term.t * Term.t) list;
-  p_c : cprobe;
+  p_args : int array;
+  p_plan : Kernel.plan;
+  p_head : int array;
 }
 
-(* Compiled twin of a probe: pinned arguments, rest-of-disjunct plan
-   and head all encoded against one slot space, so a probe run is int
-   unification + a kernel join over persistent indexes. *)
-and cprobe = {
-  cp_args : int array;
-  cp_plan : Kernel.plan;
-  cp_head : int array;
-}
-
-(* [Delta] plans cover monotone LHS queries with a UCQ form: every
-   answer new in [D + t] uses [t] in at least one atom position, so the
-   probes enumerate exactly the delta of [q].  Anything else (FP,
-   non-monotone, unsafe) falls back to a full evaluation against the
-   cached RHS. *)
-type plan =
-  | Delta of (string, probe list) Hashtbl.t
+(* [Delta] covers monotone LHS queries with a safe UCQ form: every
+   answer new in [D + t] uses [t] in at least one atom position, so
+   the probes enumerate exactly the delta of [q]; [disjuncts] are the
+   whole-disjunct plans the full check runs.  Anything else (FP,
+   non-monotone, unsafe) is [Full]: a full evaluation against the
+   cached RHS, which raises exactly where the interpreted check
+   does. *)
+type body =
+  | Delta of {
+      disjuncts : (Kernel.plan * int array) list;
+      probes : (string * probe) list;
+    }
   | Full
 
 type entry = {
   cc : Containment.t;
   rhs_cache : Relation.t;
   rhs_ids : Kernel.Rowset.t;
-  plan : plan;
+  body : body;
 }
+
+(* What one CC checks when a tuple lands in a given relation. *)
+type step_check =
+  | Probes of probe array
+  | Eval
 
 type t = {
   entries : entry array;
-  by_rel : (string, int list) Hashtbl.t;
+  (* per relation, the CCs reading it in declaration order: a step
+     costs one table lookup, and the cheap early-declared CCs (single
+     inclusions, typically) prune before the wide joins run *)
+  by_rel : (string, (entry * step_check) array) Hashtbl.t;
   empty_ok : bool;
   store : Kernel.Store.t;
-  delta_checks : int Atomic.t;
-  full_checks : int Atomic.t;
 }
 
-type stats = { delta_checks : int; full_checks : int }
-
-(* Process-wide mirrors of the per-instance counters: the instance
-   stats die with the decide call, the registry keeps the totals.
-   Seq-mode searches build no checker, so the seq hot path never
-   reaches these. *)
 let m_delta_checks =
   Ric_obs.Metrics.counter
     ~help:"constraint checks answered by an indexed delta probe"
@@ -64,61 +61,59 @@ let m_full_checks =
     ~help:"constraint checks that fell back to full LHS evaluation"
     "ric_incremental_full_checks_total"
 
-let term_vars ts =
-  List.filter_map (function Term.Var x -> Some x | Term.Const _ -> None) ts
-
 exception Not_delta
 
-let plan_of_lhs lhs =
+let body_of_lhs lhs =
   if not (Lang.monotone lhs) then Full
   else
     match Lang.as_ucq lhs with
     | None -> Full
     | Some ucq ->
       (try
-         let tbl = Hashtbl.create 8 in
-         List.iter
-           (fun cq ->
-             match Cq.normalize cq with
-             | None -> () (* statically unsatisfiable: contributes nothing *)
-             | Some n ->
-               let avars = List.concat_map Atom.vars n.Cq.n_atoms in
-               let needed =
-                 term_vars n.Cq.n_head
-                 @ term_vars
-                     (List.concat_map (fun (s, u) -> [ s; u ]) n.Cq.n_neqs)
-               in
-               (* unsafe disjunct: let the full evaluator raise exactly
-                  as the non-incremental path would *)
-               if not (List.for_all (fun x -> List.mem x avars) needed) then
-                 raise Not_delta;
-               List.iteri
-                 (fun i (a : Atom.t) ->
-                   let rest = List.filteri (fun j _ -> j <> i) n.Cq.n_atoms in
-                   let cp_plan =
-                     Kernel.compile ~extra_vars:(Atom.vars a) rest n.Cq.n_neqs
-                   in
-                   let probe =
-                     {
-                       p_args = a.Atom.args;
-                       p_rest = rest;
-                       p_head = n.Cq.n_head;
-                       p_neqs = n.Cq.n_neqs;
-                       p_c =
+         let compiled =
+           List.filter_map
+             (fun cq ->
+               match Cq.normalize cq with
+               | None -> None (* statically unsatisfiable: contributes nothing *)
+               | Some n ->
+                 let avars = List.concat_map Atom.vars n.Cq.n_atoms in
+                 let covered = function
+                   | Term.Const _ -> true
+                   | Term.Var x -> List.mem x avars
+                 in
+                 (* unsafe disjunct: let the full evaluator raise exactly
+                    as the interpreted check would *)
+                 if
+                   not
+                     (List.for_all covered n.Cq.n_head
+                      && List.for_all
+                           (fun (s, u) -> covered s && covered u)
+                           n.Cq.n_neqs)
+                 then raise Not_delta;
+                 let whole = Kernel.compile n.Cq.n_atoms n.Cq.n_neqs in
+                 let probes =
+                   List.mapi
+                     (fun i (a : Atom.t) ->
+                       let rest = List.filteri (fun j _ -> j <> i) n.Cq.n_atoms in
+                       let p_plan =
+                         Kernel.compile ~extra_vars:(Atom.vars a) rest n.Cq.n_neqs
+                       in
+                       ( a.Atom.rel,
                          {
-                           cp_args = Kernel.encode_terms cp_plan a.Atom.args;
-                           cp_plan;
-                           cp_head = Kernel.encode_terms cp_plan n.Cq.n_head;
-                         };
-                     }
-                   in
-                   let prev =
-                     Option.value ~default:[] (Hashtbl.find_opt tbl a.Atom.rel)
-                   in
-                   Hashtbl.replace tbl a.Atom.rel (probe :: prev))
-                 n.Cq.n_atoms)
-           ucq;
-         Delta tbl
+                           p_args = Kernel.encode_terms p_plan a.Atom.args;
+                           p_plan;
+                           p_head = Kernel.encode_terms p_plan n.Cq.n_head;
+                         } ))
+                     n.Cq.n_atoms
+                 in
+                 Some ((whole, Kernel.encode_terms whole n.Cq.n_head), probes))
+             ucq
+         in
+         Delta
+           {
+             disjuncts = List.map fst compiled;
+             probes = List.concat_map snd compiled;
+           }
        with Not_delta -> Full)
 
 let create ~schema ~master ccs =
@@ -131,19 +126,37 @@ let create ~schema ~master ccs =
              cc;
              rhs_cache;
              rhs_ids = Kernel.Rowset.of_relation rhs_cache;
-             plan = plan_of_lhs cc.Containment.lhs;
+             body = body_of_lhs cc.Containment.lhs;
            })
          ccs)
   in
+  let lists = Hashtbl.create 16 in
+  (* walk the CCs last-first so consing leaves declaration order *)
+  for i = Array.length entries - 1 downto 0 do
+    let e = entries.(i) in
+    List.iter
+      (fun rel ->
+        let check =
+          match e.body with
+          | Full -> Some Eval
+          | Delta { probes; _ } ->
+            (match
+               List.filter_map
+                 (fun (r, p) -> if String.equal r rel then Some p else None)
+                 probes
+             with
+             | [] -> None
+             | ps -> Some (Probes (Array.of_list ps)))
+        in
+        match check with
+        | None -> ()
+        | Some c ->
+          let prev = Option.value ~default:[] (Hashtbl.find_opt lists rel) in
+          Hashtbl.replace lists rel ((e, c) :: prev))
+      (List.sort_uniq String.compare (Lang.relations e.cc.Containment.lhs))
+  done;
   let by_rel = Hashtbl.create 16 in
-  Array.iteri
-    (fun i e ->
-      List.iter
-        (fun rel ->
-          let prev = Option.value ~default:[] (Hashtbl.find_opt by_rel rel) in
-          Hashtbl.replace by_rel rel (i :: prev))
-        (Lang.relations e.cc.Containment.lhs))
-    entries;
+  Hashtbl.iter (fun rel l -> Hashtbl.replace by_rel rel (Array.of_list l)) lists;
   let empty_ok =
     try
       Array.for_all
@@ -154,164 +167,96 @@ let create ~schema ~master ccs =
         entries
     with Invalid_argument _ -> false
   in
-  {
-    entries;
-    by_rel;
-    empty_ok;
-    store = Kernel.Store.create ();
-    delta_checks = Atomic.make 0;
-    full_checks = Atomic.make 0;
-  }
+  { entries; by_rel; empty_ok; store = Kernel.Store.create () }
 
 let empty_ok t = t.empty_ok
 
 let lookup db rel =
   try Database.relation db rel with Not_found -> Relation.empty
 
-(* Unify an atom's argument list against a concrete tuple, producing
-   the valuation that pins every variable of that atom. *)
-let unify_args args tuple =
-  let n = Tuple.arity tuple in
-  if List.length args <> n then None
-  else
-    let rec go i mu = function
-      | [] -> Some mu
-      | Term.Const c :: rest ->
-        if Value.equal c (Tuple.get tuple i) then go (i + 1) mu rest else None
-      | Term.Var x :: rest ->
-        let v = Tuple.get tuple i in
-        (match Valuation.find x mu with
-         | Some v' ->
-           if Value.equal v v' then go (i + 1) mu rest else None
-         | None -> go (i + 1) (Valuation.add x v mu) rest)
-    in
-    go 0 Valuation.empty args
+(* [on_match] for a kernel run: does this answer escape the RHS? *)
+let escapes rhs_ids head regs =
+  match Kernel.term_ids head regs with
+  | Some ids -> not (Kernel.Rowset.mem rhs_ids ids)
+  | None -> false
 
 let entry_holds_full (t : t) ~db e =
-  Atomic.incr t.full_checks;
   Ric_obs.Metrics.incr m_full_checks;
-  Relation.subset (Lang.eval db e.cc.Containment.lhs) e.rhs_cache
+  match e.body with
+  | Full -> Relation.subset (Lang.eval db e.cc.Containment.lhs) e.rhs_cache
+  | Delta { disjuncts; _ } ->
+    not
+      (List.exists
+         (fun (plan, head) ->
+           Kernel.run t.store ~lookup:(lookup db) plan (escapes e.rhs_ids head))
+         disjuncts)
 
-(* The probe joins the rest of the disjunct over the whole database —
-   [db] must already include the inserted tuple.  Returns [false] as
-   soon as any new head tuple escapes the cached RHS. *)
-let probe_holds ~db ~rhs ~tuple probes =
-  List.for_all
-    (fun p ->
-      match unify_args p.p_args tuple with
-      | None -> true (* tuple does not match this atom position *)
-      | Some init ->
-        not
-          (Match_engine.solve ~lookup:(lookup db) ~neqs:p.p_neqs ~init p.p_rest
-             (fun mu ->
-               match Valuation.tuple_of_terms mu p.p_head with
-               | Some ans -> not (Relation.mem ans rhs)
-               | None -> false)))
-    probes
+(* Interned overlay rows per relation, built at most once per step and
+   shared by every probe of every CC; deltas are a handful of
+   tuples. *)
+let overlay delta =
+  let cache = ref [] in
+  fun rel ->
+    let rec find = function
+      | [] ->
+        let rows =
+          match Database.relation delta rel with
+          | r ->
+            Array.of_list (Relation.fold (fun tu acc -> Intern.row tu :: acc) r [])
+          | exception Not_found -> [||]
+        in
+        cache := (rel, rows) :: !cache;
+        rows
+      | (r, rows) :: rest -> if String.equal r rel then rows else find rest
+    in
+    find !cache
 
-(* Compiled probe run: unify the interned tuple against the pinned
-   argument vector, then join the rest of the disjunct over [base]'s
-   persistent indexes with [delta]'s interned rows as an overlay.
-   Requires [base ∪ delta] = the post-insertion database.  Overlay
-   rows also present in [base] may be enumerated twice, which is
-   harmless for this existence-style check. *)
-let probe_holds_compiled (t : t) ~base ~delta ~rhs_ids ~tuple probes =
-  let row = Intern.row tuple in
-  let cache : (string, int array list) Hashtbl.t = Hashtbl.create 4 in
-  let extra rel =
-    match Hashtbl.find_opt cache rel with
-    | Some rows -> rows
-    | None ->
-      let rows =
-        match Database.relation delta rel with
-        | r -> Relation.fold (fun tu acc -> Intern.row tu :: acc) r []
-        | exception Not_found -> []
-      in
-      Hashtbl.add cache rel rows;
-      rows
-  in
-  let base_lookup rel =
-    try Database.relation base rel with Not_found -> Relation.empty
-  in
-  List.for_all
-    (fun p ->
-      match Kernel.unify_encoded p.p_c.cp_args row with
-      | None -> true (* tuple does not match this atom position *)
-      | Some init ->
-        not
-          (Kernel.run t.store ~lookup:base_lookup ~extra ~init p.p_c.cp_plan
-             (fun regs ->
-               match Kernel.term_ids p.p_c.cp_head regs with
-               | Some ids -> not (Kernel.Rowset.mem rhs_ids ids)
-               | None -> false)))
-    probes
-
-let check_add_with (t : t) ~overlay ~db ~rel ~tuple =
+(* The first CC (in declaration order) that [tuple]'s insertion into
+   [rel] violates.  Probes pin the interned tuple onto one atom and
+   join the rest over [base]'s persistent indexes with [delta]'s
+   interned rows as an overlay; [base ∪ delta] must be the
+   post-insertion database.  Overlay rows also present in [base] may
+   be enumerated twice, which is harmless for this existence-style
+   check.  [db] is what full evaluations see. *)
+let first_violation (t : t) ~base ~delta ~db ~rel ~tuple =
   match Hashtbl.find_opt t.by_rel rel with
-  | None -> true (* no CC reads [rel] *)
-  | Some idxs ->
-    List.for_all
-      (fun i ->
-        let e = t.entries.(i) in
-        match e.plan with
-        | Full -> entry_holds_full t ~db e
-        | Delta tbl ->
-          (match Hashtbl.find_opt tbl rel with
-           | None -> true
-           | Some probes ->
-             Atomic.incr t.delta_checks;
-             Ric_obs.Metrics.incr m_delta_checks;
-             (match overlay with
-              | Some (base, delta) ->
-                probe_holds_compiled t ~base ~delta ~rhs_ids:e.rhs_ids ~tuple
-                  probes
-              | None -> probe_holds ~db ~rhs:e.rhs_cache ~tuple probes)))
-      idxs
-
-let check_add t ~db ~rel ~tuple = check_add_with t ~overlay:None ~db ~rel ~tuple
+  | None -> None (* no CC reads [rel] *)
+  | Some checks ->
+    let row = Intern.row tuple in
+    let extra = overlay delta in
+    let lookup = lookup base in
+    let probed = ref 0 in
+    let probe_holds rhs_ids p =
+      let regs = Kernel.regs p.p_plan in
+      (* a tuple that does not match this atom position adds nothing *)
+      (not (Kernel.unify_encoded p.p_args row regs))
+      || not
+           (Kernel.run t.store ~lookup ~extra ~regs p.p_plan
+              (escapes rhs_ids p.p_head))
+    in
+    let holds (e, check) =
+      match check with
+      | Eval -> entry_holds_full t ~db e
+      | Probes ps ->
+        incr probed;
+        Array.for_all (probe_holds e.rhs_ids) ps
+    in
+    let n = Array.length checks in
+    let rec first i =
+      if i = n then None
+      else if holds checks.(i) then first (i + 1)
+      else Some (fst checks.(i))
+    in
+    let r = first 0 in
+    if !probed > 0 then Ric_obs.Metrics.add m_delta_checks !probed;
+    r
 
 let check_add_overlay t ~base ~delta ~db ~rel ~tuple =
-  check_add_with t ~overlay:(Some (base, delta)) ~db ~rel ~tuple
-
-(* Explain twin of [check_add_with]: same per-entry predicates, but it
-   names the first violated constraint instead of answering a bare
-   [false] — the profile path only, so the plain checks stay lean. *)
-let check_add_explain_with (t : t) ~overlay ~db ~rel ~tuple =
-  match Hashtbl.find_opt t.by_rel rel with
-  | None -> None
-  | Some idxs ->
-    let entry_holds i =
-      let e = t.entries.(i) in
-      match e.plan with
-      | Full -> entry_holds_full t ~db e
-      | Delta tbl ->
-        (match Hashtbl.find_opt tbl rel with
-         | None -> true
-         | Some probes ->
-           Atomic.incr t.delta_checks;
-           Ric_obs.Metrics.incr m_delta_checks;
-           (match overlay with
-            | Some (base, delta) ->
-              probe_holds_compiled t ~base ~delta ~rhs_ids:e.rhs_ids ~tuple
-                probes
-            | None -> probe_holds ~db ~rhs:e.rhs_cache ~tuple probes))
-    in
-    let rec first = function
-      | [] -> None
-      | i :: rest ->
-        if entry_holds i then first rest
-        else Some t.entries.(i).cc.Containment.cc_name
-    in
-    first idxs
+  Option.is_none (first_violation t ~base ~delta ~db ~rel ~tuple)
 
 let check_add_overlay_explain t ~base ~delta ~db ~rel ~tuple =
-  check_add_explain_with t ~overlay:(Some (base, delta)) ~db ~rel ~tuple
+  Option.map
+    (fun e -> e.cc.Containment.cc_name)
+    (first_violation t ~base ~delta ~db ~rel ~tuple)
 
-let full t ~db =
-  Array.for_all (fun e -> entry_holds_full t ~db e) t.entries
-
-let stats (t : t) : stats =
-  {
-    delta_checks = Atomic.get t.delta_checks;
-    full_checks = Atomic.get t.full_checks;
-  }
+let full t ~db = Array.for_all (fun e -> entry_holds_full t ~db e) t.entries

@@ -1,36 +1,34 @@
-(** Incremental containment checking for the valuation search.
+(** Incremental containment checking: the one constraint checker of
+    the valuation search, in every search mode.
 
     The deciders grow candidate extensions one tuple at a time and must
     re-establish [(D, Dm) ⊨ V] after every growth step.  Re-evaluating
-    each CC from scratch makes the inner loop quadratic in practice; a
-    checker built once per decide call does better on two axes:
+    each CC from scratch costs O(|D|) per step; a checker built once
+    per decide call does better on two axes:
 
     - {b relation indexing} — CCs are indexed by the relations their
       LHS mentions, so a tuple added to [R] only re-checks CCs reading
-      [R];
+      [R], in declaration order;
     - {b delta evaluation} — for a monotone LHS with a UCQ form, every
       answer new in [D + t] must use [t] in at least one atom position,
-      so only the joins through the inserted tuple are enumerated and
-      checked against a cached evaluation of the RHS projection.
+      so only the joins through the inserted tuple are enumerated (on
+      the compiled kernel) and checked against a cached evaluation of
+      the RHS projection.
 
-    Soundness of {!check_add} rests on a parent invariant: the database
-    {e before} the insertion already satisfied every CC.  The search
-    maintains this invariant by construction (the root state is checked
-    in full; every accepted extension was checked on the way in); a
-    caller whose root state fails the full check must fall back to
-    {!Containment.holds_all}.  LHS languages outside the monotone-UCQ
-    fragment (FP, non-monotone FO, unsafe queries) are handled by a
-    per-CC full evaluation against the cached RHS, so verdicts are
-    always identical to the non-incremental path. *)
+    Soundness of the step checks rests on a parent invariant: the
+    database {e before} the insertion already satisfied every CC.  The
+    search checks the root state with {!full} (or {!empty_ok}) and
+    every accepted extension was checked on the way in.  When the root
+    fails, no extension can pass either, since the deciders only admit
+    monotone CCs, so the search stops there.  LHS languages outside the
+    monotone-UCQ fragment (FP, non-monotone FO, unsafe queries) are
+    handled by a per-CC full evaluation against the cached RHS, so
+    verdicts, and the errors unsafe queries raise, are identical to
+    {!Containment.holds_all}. *)
 
 open Ric_relational
 
 type t
-
-type stats = {
-  delta_checks : int;  (** single-tuple delta probes executed *)
-  full_checks : int;   (** per-CC full LHS evaluations executed *)
-}
 
 val create :
   schema:Schema.t -> master:Database.t -> Containment.t list -> t
@@ -44,13 +42,6 @@ val empty_ok : t -> bool
     invariant for searches growing extensions from nothing
     ([`Delta_only] mode). *)
 
-val check_add : t -> db:Database.t -> rel:string -> tuple:Tuple.t -> bool
-(** [check_add t ~db ~rel ~tuple] — does [db] still satisfy every CC,
-    given that [db] is the previous state plus [tuple] inserted into
-    [rel] and that the previous state satisfied every CC?  Only CCs
-    reading [rel] are touched, and monotone-UCQ CCs only through the
-    inserted tuple. *)
-
 val check_add_overlay :
   t ->
   base:Database.t ->
@@ -59,12 +50,15 @@ val check_add_overlay :
   rel:string ->
   tuple:Tuple.t ->
   bool
-(** Like {!check_add}, with [db] split as [base ∪ delta] ([delta]
-    containing the inserted tuple): delta probes run on the compiled
-    kernel — joins probe persistent column indexes over the fixed
-    [base] and treat [delta]'s interned rows as a small overlay, so no
-    index is ever rebuilt per step.  Verdict-identical to
-    {!check_add}; [db] is still what full-evaluation fallbacks see. *)
+(** [check_add_overlay t ~base ~delta ~db ~rel ~tuple] — does [db]
+    still satisfy every CC, given that [db] is the previous state plus
+    [tuple] inserted into [rel], that the previous state satisfied
+    every CC, and that [db = base ∪ delta] with [tuple] in [delta]?
+    Only CCs reading [rel] are touched, and monotone-UCQ CCs only
+    through the inserted tuple: their joins probe persistent column
+    indexes over the fixed [base] on the compiled kernel and treat
+    [delta]'s interned rows as a small overlay, so no index is rebuilt
+    per step.  [db] is what full evaluations (non-UCQ CCs) see. *)
 
 val check_add_overlay_explain :
   t ->
@@ -75,14 +69,12 @@ val check_add_overlay_explain :
   tuple:Tuple.t ->
   string option
 (** Like {!check_add_overlay} but, on failure, names the first
-    violated constraint (its [cc_name]); [None] means the check
-    passed.  The explain-profile path — verdict-identical to
-    {!check_add_overlay}. *)
+    violated constraint in declaration order (its [cc_name]); [None]
+    means the check passed.  The explain-profile path —
+    verdict-identical to {!check_add_overlay}. *)
 
 val full : t -> db:Database.t -> bool
-(** Full check of every CC against [db] (still using the cached RHS
+(** Full check of every CC against [db] (on the compiled kernel, over
+    the checker's persistent index store, with the cached RHS
     relations).  Used to establish the parent invariant at search
     entry. *)
-
-val stats : t -> stats
-(** Work counters (atomic, shared across parallel workers). *)

@@ -11,8 +11,13 @@
     search: each worker records into a private {!search} handle (plain
     mutable arrays, no synchronisation on the hot path) and merges it
     into the aggregate under the profile's own mutex when its search
-    finishes.  Because the parallel tree is node-for-node the
-    sequential tree, the merged totals equal the sequential ones.
+    finishes.  The parallel tasks partition the sequential tree, so
+    for an {e exhaustive} search (no witness found, budget not spent)
+    the merged per-level totals equal the sequential ones.  A search
+    that stops early — first witness, exhausted budget — ends wherever
+    the racing workers happen to be, so its per-level totals may
+    differ from a sequential run's; in every mode, though, the
+    attributed steps equal the budget's step count.
 
     Everything here is optional plumbing: deciders take a
     [?profile:t] and the per-candidate cost when no profile is

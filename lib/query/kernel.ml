@@ -92,32 +92,39 @@ let encode_terms plan ts =
          | Term.Const c -> const_code c)
        ts)
 
-let init_binds plan mu =
-  List.filter_map
+let regs plan = Array.make (max 1 plan.p_nslots) (-1)
+
+let init_regs plan mu =
+  let r = regs plan in
+  List.iter
     (fun (x, c) ->
       match Hashtbl.find_opt plan.p_slots x with
-      | Some s -> Some (s, Intern.id c)
-      | None -> None)
-    (Valuation.bindings mu)
+      | Some s -> r.(s) <- Intern.id c
+      | None -> ())
+    (Valuation.bindings mu);
+  r
 
-(* Unify an encoded argument vector against a concrete interned row
-   with no registers in play — used to pin a probe's atom onto an
-   inserted tuple before running the rest of its plan. *)
-let unify_encoded args row =
+(* Unify an encoded argument vector against a concrete interned row,
+   writing the bindings straight into [regs] — used to pin a probe's
+   atom onto an inserted tuple before running the rest of its plan. *)
+let unify_encoded args row regs =
   let n = Array.length args in
-  if Array.length row <> n then None
-  else
-    let rec go i acc =
-      if i = n then Some acc
-      else
-        let a = args.(i) and x = row.(i) in
-        if a < 0 then if a = -x - 1 then go (i + 1) acc else None
-        else
-          match List.assoc_opt a acc with
-          | Some x' -> if x = x' then go (i + 1) acc else None
-          | None -> go (i + 1) ((a, x) :: acc)
-    in
-    go 0 []
+  Array.length row = n
+  &&
+  let rec go i =
+    i = n
+    ||
+    let a = args.(i) and x = row.(i) in
+    if a < 0 then a = -x - 1 && go (i + 1)
+    else
+      let cur = regs.(a) in
+      if cur >= 0 then cur = x && go (i + 1)
+      else begin
+        regs.(a) <- x;
+        go (i + 1)
+      end
+  in
+  go 0
 
 let term_ids enc regs =
   let n = Array.length enc in
@@ -225,24 +232,23 @@ module Store = struct
          raise e)
 end
 
-let run store ~lookup ?extra ?(init = []) plan on_match =
+let run store ~lookup ?extra ?regs:init plan on_match =
   let na = Array.length plan.p_atoms in
-  let regs = Array.make (max 1 plan.p_nslots) (-1) in
-  List.iter (fun (s, v) -> regs.(s) <- v) init;
+  let regs = match init with Some r -> r | None -> regs plan in
   let rixes =
     Array.map (fun ca -> Store.rix store ca.c_rel (lookup ca.c_rel)) plan.p_atoms
   in
   let extras =
     match extra with
     | None -> Array.make (max 1 na) [||]
-    | Some f -> Array.map (fun ca -> Array.of_list (f ca.c_rel)) plan.p_atoms
+    | Some f -> Array.map (fun ca -> f ca.c_rel) plan.p_atoms
   in
   (* Static greedy join order, fixed once per run: most bound
      arguments first, then smallest relation — the same score the
      interpreted engine recomputed at every node.  Which slots are
-     bound at depth [k] depends only on [init] and the atoms ordered
-     before [k], never on the values branched on, so ordering up front
-     is exact. *)
+     bound at depth [k] depends only on the prebound registers and the
+     atoms ordered before [k], never on the values branched on, so
+     ordering up front is exact. *)
   let order = Array.init na (fun i -> i) in
   if na > 1 then begin
     let bound = Array.map (fun v -> v >= 0) regs in
@@ -279,7 +285,7 @@ let run store ~lookup ?extra ?(init = []) plan on_match =
   let neq_at = Array.make (na + 1) [] in
   if Array.length plan.p_neqs > 0 then begin
     let depth = Array.make (max 1 plan.p_nslots) max_int in
-    List.iter (fun (s, _) -> depth.(s) <- 0) init;
+    Array.iteri (fun s v -> if v >= 0 then depth.(s) <- 0) regs;
     for k = 0 to na - 1 do
       Array.iter
         (fun a -> if a >= 0 && depth.(a) = max_int then depth.(a) <- k + 1)

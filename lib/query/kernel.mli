@@ -33,16 +33,21 @@ val encode_terms : plan -> Term.t list -> int array
     the plan's slot space.
     @raise Invalid_argument on a variable the plan does not know. *)
 
-val init_binds : plan -> Valuation.t -> (int * int) list
-(** The (slot, value id) prebindings a valuation induces on a plan;
-    bindings for variables outside the plan are dropped (they ride
-    along unchanged in {!valuation_of}'s [init]). *)
+val regs : plan -> int array
+(** A fresh register array for the plan: one slot per variable, all
+    unbound. *)
 
-val unify_encoded : int array -> int array -> (int * int) list option
-(** [unify_encoded args row] unifies an encoded argument vector
-    against an interned row with no prior bindings: [Some binds] pins
-    each slot, [None] on a constant or repeated-slot mismatch (or an
-    arity mismatch). *)
+val init_regs : plan -> Valuation.t -> int array
+(** {!regs} prebound with the valuation's values; bindings for
+    variables outside the plan are dropped (they ride along unchanged
+    in {!valuation_of}'s [init]). *)
+
+val unify_encoded : int array -> int array -> int array -> bool
+(** [unify_encoded args row regs] unifies an encoded argument vector
+    against an interned row, binding the unbound slots it meets in
+    [regs]; [false] on a constant, bound-slot or repeated-slot
+    mismatch (or an arity mismatch), in which case [regs] may hold
+    partial bindings and should be dropped. *)
 
 val term_ids : int array -> int array -> int array option
 (** [term_ids enc regs] grounds encoded terms under the registers;
@@ -91,8 +96,8 @@ end
 val run :
   Store.t ->
   lookup:(string -> Relation.t) ->
-  ?extra:(string -> int array list) ->
-  ?init:(int * int) list ->
+  ?extra:(string -> int array array) ->
+  ?regs:int array ->
   plan ->
   (int array -> bool) ->
   bool
@@ -101,7 +106,9 @@ val run :
     extended by the interned [extra] overlay rows for that relation,
     if given) that satisfies every inequality whose sides become
     ground, calling [on_match regs] per solution until it returns
-    [true].  [init] prebinds slots.  Join order is fixed up front by
+    [true].  [regs] (from {!regs} or {!init_regs}, possibly bound
+    further by {!unify_encoded}) prebinds slots; the run restores it
+    to its entry state before returning.  Join order is fixed up front by
     bound-argument count then indexed cardinality.  Overlay rows also
     present in the base relation may be visited twice — callers use
     the overlay for existence-style checks where duplicates are

@@ -68,7 +68,7 @@ let solve ~lookup ?(neqs = []) ?(init = Valuation.empty) ?(naive = false)
       | Some s -> s
       | None -> Kernel.Store.create ()
     in
-    Kernel.run store ~lookup ~init:(Kernel.init_binds plan init) plan
+    Kernel.run store ~lookup ~regs:(Kernel.init_regs plan init) plan
       (fun regs -> visit (Kernel.valuation_of plan ~init regs))
   end
 

@@ -12,6 +12,18 @@ dune build @all
 echo "== dune runtest"
 dune runtest
 
+echo "== forced worker matrix"
+# the search and profile suites must hold on any core count, not only
+# on this host's: re-run them with the parallel search's worker clamp
+# forced to 1, 2 and 4 domains
+for W in 1 2 4; do
+  for T in test_search test_obs; do
+    RIC_SEARCH_FORCE_WORKERS=$W "_build/default/test/$T.exe" >/dev/null \
+      || { echo "FAIL: $T with RIC_SEARCH_FORCE_WORKERS=$W" >&2; exit 1; }
+  done
+  echo "workers $W: test_search, test_obs pass"
+done
+
 echo "== ricd smoke test"
 SOCKET="${TMPDIR:-/tmp}/ricd-check-$$.sock"
 RIC="_build/default/bin/ric.exe"
@@ -321,9 +333,9 @@ fi
 rm -f "$SOAK_OUT"
 
 echo "== search-mode bench smoke test"
-# all three valuation-search strategies on the hostile instance with a
-# small step budget; the bench exits nonzero if any scenario query gets
-# a different verdict under seq vs inc vs par
+# the seq and par valuation-search strategies on the hostile instance
+# with a small step budget; the bench exits nonzero if any scenario
+# query gets a different verdict under seq vs par
 BENCH_OUT="${TMPDIR:-/tmp}/ricd-check-$$-bench.json"
 RIC_BENCH_STEPS=20000 RIC_BENCH_OUT="$BENCH_OUT" \
   _build/default/bench/main.exe search \

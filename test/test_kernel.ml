@@ -3,9 +3,8 @@
    cardinality/arity, Valuation.union conflict handling, the
    compiled-vs-naive solve differential (verdicts AND solution sets)
    over random bodies and databases, index-store reuse counters, and
-   the compiled constraint checkers (Compiled.check and
-   Incremental.check_add_overlay) differential against
-   Containment.holds_all. *)
+   the incremental constraint checker's overlay path differential
+   against Containment.holds_all. *)
 
 open Ric_relational
 open Ric_query
@@ -266,8 +265,7 @@ let test_store_reuse () =
     (Metrics.counter_value builds > b1)
 
 (* ------------------------------------------------------------------ *)
-(* Compiled constraint checker: differential against holds_all over
-   random base/delta splits (no parent invariant required). *)
+(* Constraint checker fixtures *)
 
 let cc_master =
   Database.of_list
@@ -308,42 +306,16 @@ let ccs =
       Projection.Empty;
   ]
 
-let gen_split =
-  QCheck2.Gen.(
-    list_size (int_bound 12)
-      (triple bool (int_bound 1)
-         (triple (int_bound 3) (int_bound 3) (int_bound 3))))
-
-let compiled_check_prop picks =
-  let base_rows, delta_rows =
-    List.partition_map
-      (fun (to_base, r, vals) ->
-        if to_base then Either.Left (r, vals) else Either.Right (r, vals))
-      picks
-  in
-  let base = db_of base_rows and delta = db_of delta_rows in
-  let db = Database.union base delta in
-  let comp = Compiled.create ~base ~master:cc_master ccs in
-  let fast = Compiled.check comp ~db ~delta in
-  let slow = Containment.holds_all ~db ~master:cc_master ccs in
-  if fast <> slow then
-    QCheck2.Test.fail_reportf "Compiled.check %b vs holds_all %b" fast slow;
-  true
-
-let test_compiled_differential =
-  QCheck2.Test.make
-    ~name:"Compiled.check ≡ holds_all over random base/delta splits" ~count:300
-    gen_split compiled_check_prop
-
-(* unsafe LHS: the compiled checker must keep the evaluator's error *)
-let test_compiled_unsafe_fallback () =
+(* unsafe LHS: the checker must keep the evaluator's error, on the
+   step check and on the root check alike *)
+let test_incremental_unsafe_fallback () =
   let cc =
     Containment.make ~name:"unsafe"
       (Lang.Q_cq (Cq.make ~head:[ v "q" ] [ Atom.make "S" [ v "x" ] ]))
       (Projection.proj "N" [ 0 ])
   in
   let db = db_of [ (1, (0, 0, 0)) ] in
-  let comp = Compiled.create ~base:(Database.empty sch) ~master:cc_master [ cc ] in
+  let inc = Incremental.create ~schema:sch ~master:cc_master [ cc ] in
   let expect_invalid what f =
     match f () with
     | (_ : bool) -> Alcotest.failf "%s must reject the unsafe query" what
@@ -351,8 +323,35 @@ let test_compiled_unsafe_fallback () =
   in
   expect_invalid "holds_all" (fun () ->
       Containment.holds_all ~db ~master:cc_master [ cc ]);
-  expect_invalid "Compiled.check" (fun () ->
-      Compiled.check comp ~db ~delta:db)
+  expect_invalid "Incremental.check_add_overlay" (fun () ->
+      Incremental.check_add_overlay inc ~base:(Database.empty sch) ~delta:db ~db
+        ~rel:"S" ~tuple:(Tuple.of_strs [ "0" ]));
+  expect_invalid "Incremental.full" (fun () -> Incremental.full inc ~db)
+
+(* one tuple violating two constraints is blamed on the one declared
+   first, whatever the declaration order *)
+let test_explain_declaration_order () =
+  let bound name =
+    Containment.make ~name
+      (Lang.Q_cq
+         (Cq.make ~head:[ v "x"; v "y" ] [ Atom.make "R" [ v "x"; v "y" ] ]))
+      (Projection.proj "M" [ 0; 1 ])
+  and member name =
+    Containment.make ~name
+      (Lang.Q_cq (Cq.make ~head:[ v "x" ] [ Atom.make "R" [ v "x"; v "y" ] ]))
+      (Projection.proj "N" [ 0 ])
+  in
+  let tuple = Tuple.of_strs [ "3"; "3" ] in
+  let db = Database.add_tuple (Database.empty sch) "R" tuple in
+  let blamed ccs =
+    let inc = Incremental.create ~schema:sch ~master:cc_master ccs in
+    Incremental.check_add_overlay_explain inc ~base:(Database.empty sch)
+      ~delta:db ~db ~rel:"R" ~tuple
+  in
+  Alcotest.(check (option string)) "bound declared first" (Some "bound")
+    (blamed [ bound "bound"; member "member" ]);
+  Alcotest.(check (option string)) "member declared first" (Some "member")
+    (blamed [ member "member"; bound "bound" ])
 
 (* ------------------------------------------------------------------ *)
 (* Incremental overlay: both base/delta decompositions used by the
@@ -375,7 +374,6 @@ let overlay_chain_prop adds =
       let grown = Database.add_tuple !db rel tuple in
       let singleton = Database.add_tuple empty_db rel tuple in
       let slow = Containment.holds_all ~db:grown ~master:cc_master ccs in
-      let plain = Incremental.check_add inc ~db:grown ~rel ~tuple in
       (* delta-only decomposition: everything is overlay *)
       let delta_only =
         Incremental.check_add_overlay inc ~base:empty_db ~delta:grown ~db:grown
@@ -386,10 +384,10 @@ let overlay_chain_prop adds =
         Incremental.check_add_overlay inc ~base:!db ~delta:singleton ~db:grown
           ~rel ~tuple
       in
-      if plain <> slow || delta_only <> slow || split <> slow then
+      if delta_only <> slow || split <> slow then
         QCheck2.Test.fail_reportf
-          "%s: holds_all %b, check_add %b, overlay(delta) %b, overlay(split) %b"
-          rel slow plain delta_only split;
+          "%s: holds_all %b, overlay(delta) %b, overlay(split) %b" rel slow
+          delta_only split;
       if slow then db := grown)
     adds;
   true
@@ -449,12 +447,12 @@ let () =
           Alcotest.test_case "initial valuations" `Quick test_solve_init;
         ] );
       ("store", [ Alcotest.test_case "index reuse" `Quick test_store_reuse ]);
-      ( "compiled",
-        [
-          QCheck_alcotest.to_alcotest test_compiled_differential;
-          Alcotest.test_case "unsafe fallback" `Quick
-            test_compiled_unsafe_fallback;
-        ] );
       ( "incremental overlay",
-        [ QCheck_alcotest.to_alcotest test_overlay_differential ] );
+        [
+          QCheck_alcotest.to_alcotest test_overlay_differential;
+          Alcotest.test_case "unsafe fallback" `Quick
+            test_incremental_unsafe_fallback;
+          Alcotest.test_case "explain names the first declared" `Quick
+            test_explain_declaration_order;
+        ] );
     ]

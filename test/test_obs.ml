@@ -419,7 +419,10 @@ let test_profile_accumulator () =
 (* Exact parity with the budget: in the CQ decide paths every
    [Budget.tick] is mirrored into the profile (search levels, pool,
    witness growth), so the attributed steps equal [Budget.steps] — in
-   every search mode, including the parallel fan-out. *)
+   every search mode, including the parallel fan-out.  Per-level
+   totals match seq only on an exhaustive search: a parallel search
+   that stops at its first witness ends wherever the racing workers
+   happen to be. *)
 
 let parity_source =
   {|
@@ -429,6 +432,23 @@ let parity_source =
   master N(k).
   rows R { (m0, v0) (m1, v1) }.
   rows S { (m0, a) }.
+  rows M { (m0, v0) (m1, v1) (m2, v2) (m3, v3) (m4, v4) (m5, v5) }.
+  rows N { (m0) (m1) (m2) }.
+  query QJ(k) :- R(k, w), S(k, t).
+  constraint BR(k, w) :- R(k, w) => M[0, 1].
+  constraint BS(k) :- S(k, t) => N[0].
+|}
+
+(* the same constraints with every key of N already joined: QJ is
+   complete, so every mode explores the whole tree *)
+let exhaustive_source =
+  {|
+  schema R(k, w).
+  schema S(k, t).
+  master M(k, w).
+  master N(k).
+  rows R { (m0, v0) (m1, v1) (m2, v2) }.
+  rows S { (m0, a) (m1, b) (m2, c) }.
   rows M { (m0, v0) (m1, v1) (m2, v2) (m3, v3) (m4, v4) (m5, v5) }.
   rows N { (m0) (m1) (m2) }.
   query QJ(k) :- R(k, w), S(k, t).
@@ -450,31 +470,51 @@ let rcdp_profiled ~search s q =
   in
   (verdict, Budget.steps clock, Profile.snapshot profile)
 
+let all_modes = [ Search_mode.Seq; Search_mode.Inc; Search_mode.Par 2 ]
+
 let test_profile_budget_parity () =
-  let s = Scenario.parse parity_source in
-  let q =
+  let query s =
     match Scenario.find_query s "QJ" with
     | Some q -> q
     | None -> Alcotest.fail "QJ missing"
   in
-  let _, seq_steps, seq_snap = rcdp_profiled ~search:Search_mode.Seq s q in
-  Alcotest.(check bool) "the search did real work" true (seq_steps > 0);
+  (* early-stopping fixture: verdict and step attribution in every
+     mode *)
+  let s = Scenario.parse parity_source in
+  let q = query s in
   List.iter
     (fun search ->
       let name = Search_mode.to_string search in
       let verdict, steps, snap = rcdp_profiled ~search s q in
       Alcotest.(check string) (name ^ " verdict unchanged") "incomplete" verdict;
+      Alcotest.(check bool) (name ^ " the search did real work") true (steps > 0);
       Alcotest.(check int)
         (name ^ " attributed steps = budget steps")
         steps
+        (Profile.attributed_steps snap))
+    all_modes;
+  (* exhaustive fixture: the parallel tasks partition the sequential
+     tree, so the merged per-level totals are the sequential ones *)
+  let s = Scenario.parse exhaustive_source in
+  let q = query s in
+  let _, seq_steps, seq_snap = rcdp_profiled ~search:Search_mode.Seq s q in
+  Alcotest.(check bool) "the exhaustive search did real work" true
+    (seq_steps > 0);
+  List.iter
+    (fun search ->
+      let name = Search_mode.to_string search in
+      let verdict, steps, snap = rcdp_profiled ~search s q in
+      Alcotest.(check string) (name ^ " exhaustive verdict") "complete" verdict;
+      Alcotest.(check int) (name ^ " exhaustive steps = seq") seq_steps steps;
+      Alcotest.(check int)
+        (name ^ " exhaustive attributed steps = budget steps")
+        steps
         (Profile.attributed_steps snap);
-      (* the parallel tree is node-for-node the sequential tree, so the
-         merged per-level totals are the sequential ones *)
       Alcotest.(check bool)
-        (name ^ " per-level totals match seq")
+        (name ^ " exhaustive per-level totals match seq")
         true
         (snap.Profile.levels = seq_snap.Profile.levels))
-    [ Search_mode.Seq; Search_mode.Inc; Search_mode.Par 2 ]
+    all_modes
 
 let test_profile_deterministic () =
   let s = Scenario.parse parity_source in

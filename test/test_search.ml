@@ -1,9 +1,11 @@
 (* Tests for the valuation-search performance layer: Search_mode
    parsing, Budget fork/merge/cancel, the incremental constraint
    checker (differential against Containment.holds_all), seq/inc/par
-   verdict agreement on every scenario file, and the satellite
-   regressions — duplicate-atom removal (remove one occurrence, not
-   every physically-shared copy) and budget checks at search entry. *)
+   verdict agreement on every scenario file, seq/par against the
+   interpreted bounded semi-decision on random instances, and the
+   satellite regressions — duplicate-atom removal (remove one
+   occurrence, not every physically-shared copy) and budget checks at
+   search entry. *)
 
 open Ric_relational
 open Ric_query
@@ -105,6 +107,7 @@ let test_budget_fork_shared_cap () =
 
 let dup_schema = Schema.make [ Schema.relation "R" [ Schema.attribute "x" ] ]
 let no_master = Database.empty (Schema.make [])
+let no_ccs () = Incremental.create ~schema:dup_schema ~master:no_master []
 
 let tableau_of atoms =
   let q = Cq.make ~head:[ v "x" ] atoms in
@@ -120,7 +123,7 @@ let steps_for atoms =
   let tab = tableau_of atoms in
   let budget = Budget.create ~max_steps:1_000_000 () in
   ignore
-    (Valuation_search.iter_valid ~budget ~master:no_master ~ccs:[] ~mode:`Delta_only
+    (Valuation_search.iter_valid ~budget ~checker:(no_ccs ()) ~mode:`Delta_only
        ~adom:(adom_for tab) tab (fun _ _ -> false));
   Budget.steps budget
 
@@ -144,7 +147,7 @@ let test_entry_check_iter_valid () =
   let tab = tableau_of [ Atom.make "R" [ v "x" ] ] in
   let visits = ref 0 in
   (match
-     Valuation_search.iter_valid ~budget:(tripped ()) ~master:no_master ~ccs:[]
+     Valuation_search.iter_valid ~budget:(tripped ()) ~checker:(no_ccs ())
        ~mode:`Delta_only ~adom:(adom_for tab) tab
        (fun _ _ ->
          incr visits;
@@ -240,7 +243,13 @@ let incremental_agrees_prop adds =
         else ("S", Tuple.of_strs [ string_of_int a ])
       in
       let grown = Database.add_tuple !db rel tuple in
-      let fast = Incremental.check_add inc ~db:grown ~rel ~tuple in
+      (* the search's against-base split: the accepted parent is the
+         indexed base, the new tuple the overlay *)
+      let fast =
+        Incremental.check_add_overlay inc ~base:!db
+          ~delta:(Database.add_tuple (Database.empty inc_schema) rel tuple)
+          ~db:grown ~rel ~tuple
+      in
       let slow = Containment.holds_all ~db:grown ~master:inc_master inc_ccs in
       if fast <> slow then
         QCheck2.Test.fail_reportf "check_add %s%s: incremental %b vs full %b" rel
@@ -366,9 +375,12 @@ let test_par_witness_is_valid () =
    it for the duration of a callback. *)
 
 let with_forced_workers n f =
+  (* restore the caller's setting, so a suite run under a forced worker
+     count keeps it for the tests that follow *)
+  let prev = Option.value ~default:"" (Sys.getenv_opt "RIC_SEARCH_FORCE_WORKERS") in
   Unix.putenv "RIC_SEARCH_FORCE_WORKERS" (string_of_int n);
   Fun.protect
-    ~finally:(fun () -> Unix.putenv "RIC_SEARCH_FORCE_WORKERS" "")
+    ~finally:(fun () -> Unix.putenv "RIC_SEARCH_FORCE_WORKERS" prev)
     f
 
 (* forced-domain variant of the exactly-once accounting test: the
@@ -421,13 +433,13 @@ let test_par_degenerate_falls_back () =
     let steals0 = Ric_obs.Metrics.counter_value m_steals in
     let seq_visits = ref 0 in
     ignore
-      (Valuation_search.iter_valid ~master:no_master ~ccs:[] ~mode:`Delta_only
+      (Valuation_search.iter_valid ~checker:(no_ccs ()) ~mode:`Delta_only
          ~adom tab (fun _ _ ->
            incr seq_visits;
            false));
     let par_visits = ref 0 in
     ignore
-      (Valuation_search.iter_valid_par ~domains:4 ~master:no_master ~ccs:[]
+      (Valuation_search.iter_valid_par ~domains:4 ~checker:(no_ccs ())
          ~mode:`Delta_only ~adom tab (fun _ _ ->
            incr par_visits;
            false));
@@ -436,10 +448,13 @@ let test_par_degenerate_falls_back () =
       (Ric_obs.Metrics.counter_value m_steals))
 
 (* ------------------------------------------------------------------ *)
-(* QCheck differential: random instances × forced par:1..8 vs seq.
+(* QCheck differential: random instances × forced par:1..8 vs seq, and
+   every uncapped verdict against the bounded semi-decision, which
+   checks the constraints with the interpreted [holds_all] — an oracle
+   independent of the one incremental checker both modes share.
 
-   The parallel tree is node-for-node the sequential tree, so on an
-   uncapped run the verdicts must be identical.  Under a tiny step cap
+   The parallel tasks partition the sequential tree, so on an uncapped
+   run the verdicts must be identical.  Under a tiny step cap
    the *exploration order* differs, so a run that times out under seq
    may legitimately find a witness under par (and vice versa) — but
    completes must still coincide, a timeout may never be reported with
@@ -503,6 +518,13 @@ let par_matches_seq_prop (seed, atoms, wsel, tight) =
   if (not tight) && seq_label <> par_label then
     QCheck2.Test.fail_reportf "uncapped par:%d %s vs seq %s" workers par_label
       seq_label;
+  (* a refuting extension is a real counterexample, so Complete can
+     never be refuted, and a refutation means Incomplete *)
+  (if (not tight) && (seq_label = "complete" || seq_label = "incomplete") then
+     match Rcdp.semi_decide ~schema ~master ~ccs ~db q with
+     | Rcdp.Refuted _ when seq_label = "complete" ->
+       QCheck2.Test.fail_report "semi_decide refutes a complete verdict"
+     | Rcdp.Refuted _ | Rcdp.No_counterexample _ -> ());
   true
 
 let test_par_differential =
