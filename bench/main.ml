@@ -1090,7 +1090,14 @@ let mine_bench () =
       ]
   in
   let rows = List.map bench_one [ "crm.ric"; "supply_chain.ric" ] in
-  let json = Json.Obj [ ("bench", Json.Str "mine"); ("scenarios", Json.List rows) ] in
+  let json =
+    Json.Obj
+      [
+        ("bench", Json.Str "mine");
+        ("nproc", Json.Int (Stdlib.Domain.recommended_domain_count ()));
+        ("scenarios", Json.List rows);
+      ]
+  in
   let out =
     Sys.getenv_opt "RIC_BENCH_MINE_OUT" |> Option.value ~default:"BENCH_mine.json"
   in
@@ -1226,6 +1233,7 @@ let load_bench () =
     Json.Obj
       [
         ("bench", Json.Str "load");
+        ("nproc", Json.Int (Stdlib.Domain.recommended_domain_count ()));
         ("family", Json.Str "triple");
         ("seed", Json.Int seed);
         ("top_tuples", Json.Int top);

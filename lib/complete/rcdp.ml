@@ -104,8 +104,8 @@ let dynamic_ccs ccs rels =
    (condition C2, Proposition 3.3) to [μ(T_Q)] alone (condition C3,
    Corollary 3.4 — valid when every CC is an IND). *)
 
-let search_disjunct ~clock ~search ~checker ~profile ~ind_mode ~db ~qd ~adom
-    ~visited ~pruned ~disjunct (tab : Tableau.t) =
+let search_disjunct ~clock ~search ~checker ~profile ~ind_mode ~base_closed ~db
+    ~qd ~adom ~visited ~pruned ~disjunct (tab : Tableau.t) =
   let found = ref None in
   let mode = if ind_mode then `Delta_only else `Against_base db in
   let iter =
@@ -116,7 +116,7 @@ let search_disjunct ~clock ~search ~checker ~profile ~ind_mode ~db ~qd ~adom
       Valuation_search.iter_valid
   in
   let (_ : bool) =
-    iter ~budget:clock ~checker ?profile ~mode ~adom
+    iter ~budget:clock ~base_closed ~checker ?profile ~mode ~adom
       ~on_prune:(fun () -> incr pruned)
       tab
       (fun mu delta ->
@@ -208,8 +208,9 @@ let decide_ucq_with ~ind_mode ?(clock = Budget.unlimited)
         Trace.with_span "rcdp.disjunct" @@ fun dsp ->
         Trace.set_int dsp "disjunct" i;
         let r =
-          search_disjunct ~clock ~search ~checker ~profile ~ind_mode ~db ~qd
-            ~adom ~visited ~pruned ~disjunct:i tab
+          search_disjunct ~clock ~search ~checker ~profile ~ind_mode
+            ~base_closed:(not check_partially_closed) ~db ~qd ~adom ~visited
+            ~pruned ~disjunct:i tab
         in
         Trace.set_bool dsp "counterexample" (r <> None);
         r

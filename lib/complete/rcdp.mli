@@ -84,6 +84,12 @@ val decide :
     When omitted (the default) the hot path pays one option match per
     candidate and allocates nothing.
 
+    [check_partially_closed:false] means the caller already knows
+    that [(D, Dm) ⊨ V] (ricd tracks it per session): the decide then
+    neither verifies it up front nor re-checks [V] over [D] at the
+    root of each disjunct's search.  On a [D] that violates [V] the
+    verdict is then unspecified.
+
     @raise Unsupported if [Q] is FO/FP or some CC has a
       non-monotone (FO) or FP left-hand side.
     @raise Not_partially_closed if [(D, Dm) ⊭ V]

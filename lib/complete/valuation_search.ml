@@ -60,14 +60,15 @@ let rec remove_one a = function
 (* The checker's parent invariant at the search root: every CC holds
    on the initial check database.  The deciders admit only monotone
    CCs, so when the root already violates V every extension does too
-   and no valuation can pass. *)
-let root_violated chk ~mode (tab : Tableau.t) =
+   and no valuation can pass.  [base_closed]: the caller vouches that
+   the base already satisfies V, so its full check is skipped. *)
+let root_violated ~base_closed chk ~mode (tab : Tableau.t) =
   (* a tableau without atoms visits the root as it stands *)
   tab.Tableau.patterns <> []
   &&
   match mode with
   | `Delta_only -> not (Incremental.empty_ok chk)
-  | `Against_base db -> not (Incremental.full chk ~db)
+  | `Against_base db -> (not base_closed) && not (Incremental.full chk ~db)
 
 (* [base_of mode tab] — the fixed part of every checked database; the
    per-step checkers index it once and overlay the growing delta. *)
@@ -248,10 +249,10 @@ let run ~budget ~profile ~chk ~mode ~adom ~on_prune (tab : Tableau.t) visit =
     Fun.protect ~finally:(fun () -> Profile.finish_search p sr) @@ fun () ->
     go (Some sr)
 
-let iter_valid ?(budget = Budget.unlimited) ?profile ~checker ~mode ~adom
-    ?(on_prune = fun () -> ()) (tab : Tableau.t) visit =
+let iter_valid ?(budget = Budget.unlimited) ?profile ?(base_closed = false)
+    ~checker ~mode ~adom ?(on_prune = fun () -> ()) (tab : Tableau.t) visit =
   Budget.check_now budget;
-  if root_violated checker ~mode tab then false
+  if root_violated ~base_closed checker ~mode tab then false
   else run ~budget ~profile ~chk:checker ~mode ~adom ~on_prune tab visit
 
 (* A frontier task is one subtree of the sequential search tree: "all
@@ -298,7 +299,8 @@ let depth_cap = 8
    records the error, trips the stop flag and the coordinator re-raises
    — a crash can cost duplicated work, never a hang or a wrong
    verdict. *)
-let iter_valid_par ?(budget = Budget.unlimited) ?profile ~checker ~domains
+let iter_valid_par ?(budget = Budget.unlimited) ?profile ?(base_closed = false)
+    ~checker ~domains
     ~mode ~adom ?(on_prune = fun () -> ()) (tab : Tableau.t) visit =
   Budget.check_now budget;
   (* [domains] partitions the work; the pool never runs more worker
@@ -321,8 +323,9 @@ let iter_valid_par ?(budget = Budget.unlimited) ?profile ~checker ~domains
     (* one worker, or no level branches at all: the frontier cannot
        produce parallelism, so run the sequential engine directly —
        same tree, zero coordination overhead *)
-    iter_valid ~budget ?profile ~checker ~mode ~adom ~on_prune tab visit
-  else if root_violated checker ~mode tab then false
+    iter_valid ~budget ?profile ~base_closed ~checker ~mode ~adom ~on_prune tab
+      visit
+  else if root_violated ~base_closed checker ~mode tab then false
   else begin
     (* one checker for every worker: its index store is
        atomic/mutex-guarded, so sharing across domains is safe and

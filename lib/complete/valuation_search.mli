@@ -28,6 +28,7 @@ open Ric_constraints
 val iter_valid :
   ?budget:Budget.t ->
   ?profile:Ric_obs.Profile.t ->
+  ?base_closed:bool ->
   checker:Incremental.t ->
   mode:[ `Against_base of Database.t | `Delta_only ] ->
   adom:Adom.t ->
@@ -47,11 +48,18 @@ val iter_valid :
     the profile and attributes each pruned branch to the containment
     constraint that cut it (via the checkers' explain twins); partial
     counts are merged even when the budget exhausts mid-search.
-    Omitted, the only cost is one option match per candidate. *)
+    Omitted, the only cost is one option match per candidate.
+
+    [base_closed] (default [false]): the caller vouches that the base
+    of [`Against_base D] already satisfies every constraint of
+    [checker], so the root's full check is skipped.  A decider that
+    searches the same closed [D] once per UCQ disjunct then pays no
+    full check of [V] per disjunct. *)
 
 val iter_valid_par :
   ?budget:Budget.t ->
   ?profile:Ric_obs.Profile.t ->
+  ?base_closed:bool ->
   checker:Incremental.t ->
   domains:int ->
   mode:[ `Against_base of Database.t | `Delta_only ] ->

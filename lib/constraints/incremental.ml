@@ -29,17 +29,20 @@ type body =
     }
   | Full
 
+(* What one CC checks when a tuple lands in a given relation. *)
+type step_check =
+  | Probes of probe array
+  | Eval
+
 type entry = {
   cc : Containment.t;
   rhs_cache : Relation.t;
   rhs_ids : Kernel.Rowset.t;
   body : body;
+  steps : (string * step_check) list;
+      (* per relation the LHS reads, what a tuple landing there checks;
+         a [Delta] body lists only the relations it has probes for *)
 }
-
-(* What one CC checks when a tuple lands in a given relation. *)
-type step_check =
-  | Probes of probe array
-  | Eval
 
 type t = {
   entries : entry array;
@@ -116,18 +119,41 @@ let body_of_lhs lhs =
            }
        with Not_delta -> Full)
 
+let steps_of body lhs =
+  List.filter_map
+    (fun rel ->
+      match body with
+      | Full -> Some (rel, Eval)
+      | Delta { probes; _ } ->
+        (match
+           List.filter_map
+             (fun (r, p) -> if String.equal r rel then Some p else None)
+             probes
+         with
+         | [] -> None
+         | ps -> Some (rel, Probes (Array.of_list ps))))
+    (List.sort_uniq String.compare (Lang.relations lhs))
+
 let create ~schema ~master ccs =
+  (* CCs bounding several columns by one master registry share its
+     projection: evaluate and intern each distinct RHS once *)
+  let rhs_memo = Hashtbl.create 8 in
+  let rhs_of (p : Projection.t) =
+    match Hashtbl.find_opt rhs_memo p with
+    | Some r -> r
+    | None ->
+      let rel = Projection.eval master p in
+      let r = (rel, Kernel.Rowset.of_relation rel) in
+      Hashtbl.replace rhs_memo p r;
+      r
+  in
   let entries =
     Array.of_list
       (List.map
          (fun (cc : Containment.t) ->
-           let rhs_cache = Projection.eval master cc.Containment.rhs in
-           {
-             cc;
-             rhs_cache;
-             rhs_ids = Kernel.Rowset.of_relation rhs_cache;
-             body = body_of_lhs cc.Containment.lhs;
-           })
+           let rhs_cache, rhs_ids = rhs_of cc.Containment.rhs in
+           let body = body_of_lhs cc.Containment.lhs in
+           { cc; rhs_cache; rhs_ids; body; steps = steps_of body cc.Containment.lhs })
          ccs)
   in
   let lists = Hashtbl.create 16 in
@@ -135,25 +161,10 @@ let create ~schema ~master ccs =
   for i = Array.length entries - 1 downto 0 do
     let e = entries.(i) in
     List.iter
-      (fun rel ->
-        let check =
-          match e.body with
-          | Full -> Some Eval
-          | Delta { probes; _ } ->
-            (match
-               List.filter_map
-                 (fun (r, p) -> if String.equal r rel then Some p else None)
-                 probes
-             with
-             | [] -> None
-             | ps -> Some (Probes (Array.of_list ps)))
-        in
-        match check with
-        | None -> ()
-        | Some c ->
-          let prev = Option.value ~default:[] (Hashtbl.find_opt lists rel) in
-          Hashtbl.replace lists rel ((e, c) :: prev))
-      (List.sort_uniq String.compare (Lang.relations e.cc.Containment.lhs))
+      (fun (rel, c) ->
+        let prev = Option.value ~default:[] (Hashtbl.find_opt lists rel) in
+        Hashtbl.replace lists rel ((e, c) :: prev))
+      e.steps
   done;
   let by_rel = Hashtbl.create 16 in
   Hashtbl.iter (fun rel l -> Hashtbl.replace by_rel rel (Array.of_list l)) lists;
@@ -211,6 +222,15 @@ let overlay delta =
     in
     find !cache
 
+(* Does the probe's pinned atom, bound to the interned [row], join
+   into an answer that escapes the RHS?  The rest of the disjunct is
+   joined over [base]'s persistent indexes with the overlay rows. *)
+let probe_escapes (t : t) ~lookup ~extra rhs_ids row p =
+  let regs = Kernel.regs p.p_plan in
+  (* a tuple that does not match this atom position adds nothing *)
+  Kernel.unify_encoded p.p_args row regs
+  && Kernel.run t.store ~lookup ~extra ~regs p.p_plan (escapes rhs_ids p.p_head)
+
 (* The first CC (in declaration order) that [tuple]'s insertion into
    [rel] violates.  Probes pin the interned tuple onto one atom and
    join the rest over [base]'s persistent indexes with [delta]'s
@@ -226,20 +246,12 @@ let first_violation (t : t) ~base ~delta ~db ~rel ~tuple =
     let extra = overlay delta in
     let lookup = lookup base in
     let probed = ref 0 in
-    let probe_holds rhs_ids p =
-      let regs = Kernel.regs p.p_plan in
-      (* a tuple that does not match this atom position adds nothing *)
-      (not (Kernel.unify_encoded p.p_args row regs))
-      || not
-           (Kernel.run t.store ~lookup ~extra ~regs p.p_plan
-              (escapes rhs_ids p.p_head))
-    in
     let holds (e, check) =
       match check with
       | Eval -> entry_holds_full t ~db e
       | Probes ps ->
         incr probed;
-        Array.for_all (probe_holds e.rhs_ids) ps
+        not (Array.exists (probe_escapes t ~lookup ~extra e.rhs_ids row) ps)
     in
     let n = Array.length checks in
     let rec first i =
@@ -259,4 +271,38 @@ let check_add_overlay_explain t ~base ~delta ~db ~rel ~tuple =
     (fun e -> e.cc.Containment.cc_name)
     (first_violation t ~base ~delta ~db ~rel ~tuple)
 
-let full t ~db = Array.for_all (fun e -> entry_holds_full t ~db e) t.entries
+let first_violated t ~db =
+  Array.find_opt (fun e -> not (entry_holds_full t ~db e)) t.entries
+  |> Option.map (fun e -> e.cc)
+
+let full t ~db = Option.is_none (first_violated t ~db)
+
+(* Every answer new in [base ∪ delta] uses some [delta] tuple in some
+   atom position, so probing each delta tuple at each position (with
+   all of [delta] as the overlay) covers the whole difference.  The
+   overlay is interned once for the batch.  A CC reading no grown
+   relation still holds by the parent invariant. *)
+let first_violated_delta (t : t) ~base ~delta ~db =
+  let extra = overlay delta in
+  let lookup = lookup base in
+  let probed = ref 0 in
+  let grown (rel, _) = Array.length (extra rel) > 0 in
+  let holds e =
+    match e.body with
+    | Full -> (not (List.exists grown e.steps)) || entry_holds_full t ~db e
+    | Delta _ ->
+      List.for_all
+        (fun (rel, check) ->
+          match check with
+          | Eval -> true (* listed for [Full] bodies only *)
+          | Probes ps ->
+            Array.for_all
+              (fun row ->
+                incr probed;
+                not (Array.exists (probe_escapes t ~lookup ~extra e.rhs_ids row) ps))
+              (extra rel))
+        e.steps
+  in
+  let r = Array.find_opt (fun e -> not (holds e)) t.entries in
+  if !probed > 0 then Ric_obs.Metrics.add m_delta_checks !probed;
+  Option.map (fun e -> e.cc) r

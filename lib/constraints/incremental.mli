@@ -78,3 +78,24 @@ val full : t -> db:Database.t -> bool
     the checker's persistent index store, with the cached RHS
     relations).  Used to establish the parent invariant at search
     entry. *)
+
+val first_violated : t -> db:Database.t -> Containment.t option
+(** {!full}, naming the first CC in declaration order that [db]
+    violates — the same CC as {!Containment.first_violation}. *)
+
+val first_violated_delta :
+  t ->
+  base:Database.t ->
+  delta:Database.t ->
+  db:Database.t ->
+  Containment.t option
+(** [first_violated_delta t ~base ~delta ~db] — the first CC in
+    declaration order that [db = base ∪ delta] violates, given that
+    [base] satisfies every CC (the parent invariant).  A whole batch
+    in one call: each [delta] tuple is probed at each atom position of
+    the monotone-UCQ CCs reading its relation, with all of [delta]
+    interned once as the overlay, so nothing is evaluated over all of
+    [db]; a CC outside that fragment is evaluated in full against [db]
+    once, and only when [delta] grows a relation it reads.  Tuples of
+    [delta] already in [base] are harmless.  Equal to
+    {!first_violated} [t ~db] under the parent invariant. *)

@@ -99,10 +99,12 @@ let set_flight_path t path = t.flight_path <- Some path
 
 (* Callers hold no particular lock; [Journal.append] serialises
    internally, and journal-write failures must never fail a request. *)
-let journal_entry t entry =
+let journal_write t write =
   match t.journal with
   | None -> ()
-  | Some j -> ( try Journal.append j entry with Sys_error _ -> ())
+  | Some j -> ( try write j with Sys_error _ -> ())
+
+let journal_entry t entry = journal_write t (fun j -> Journal.append j entry)
 
 (* ------------------------------------------------------------------ *)
 (* Response builders. *)
@@ -189,15 +191,11 @@ let handle_open t ~path ~source ~name =
     let s =
       with_lock t (fun () -> Session.open_scenario t.registry ?name scenario)
     in
-    journal_entry t
-      (Journal.Opened
-         {
-           id = s.Session.id;
-           name;
-           (* journal the printed scenario, not the path: recovery must
-              not depend on the original file surviving the crash *)
-           source = Format.asprintf "%a" Scenario.pp scenario;
-         });
+    (* journal the printed scenario, not the path: recovery must not
+       depend on the original file surviving the crash *)
+    journal_write t (fun j ->
+        Journal.append_opened j ~id:s.Session.id ~name (fun ppf ->
+            Scenario.pp ppf scenario));
     ok
       ([
          ("session", Json.Str s.Session.id);
@@ -641,10 +639,13 @@ let handle_mine t ~admitted_at ~session ~nocache ~timeout_ms ~min_support ~worke
 (* ------------------------------------------------------------------ *)
 (* insert: apply, then migrate the old epoch's cache entries *)
 
-let revalidate_cex (scenario : Scenario.t) ~db (cex : Rcdp.counterexample) q =
+(* [db] is the session's post-insert database, known to satisfy V, so
+   the counterexample's extension is delta-checked against it *)
+let revalidate_cex checker ~db (cex : Rcdp.counterexample) q =
   let extended = Database.union db cex.Rcdp.cex_extension in
-  Containment.holds_all ~db:extended ~master:scenario.Scenario.master
-    (Scenario.all_ccs scenario)
+  Option.is_none
+    (Incremental.first_violated_delta checker ~base:db
+       ~delta:cex.Rcdp.cex_extension ~db:extended)
   && Relation.mem cex.Rcdp.cex_answer (Lang.eval extended q)
   && not (Relation.mem cex.Rcdp.cex_answer (Lang.eval db q))
 
@@ -663,7 +664,10 @@ let inserted_response t ~session ~old_epoch ~inserted s =
   in
   List.iter (fun (key, _) -> Cache.remove t.cache key) entries;
   let carried = ref 0 and revalidated = ref 0 and dropped = ref 0 in
-  if Session.partially_closed s then
+  if Session.partially_closed s then begin
+    (* one checker for every revalidation of this insert, built only
+       if some counterexample needs it *)
+    let checker = lazy (Session.checker s) in
     List.iter
       (fun (_, e) ->
         let keep ~why =
@@ -690,11 +694,12 @@ let inserted_response t ~session ~old_epoch ~inserted s =
         | Cache.K_rcdp, Some (Rcdp.Incomplete cex) ->
           (match Session.find_query s e.Cache.query with
            | Some q
-             when revalidate_cex s.Session.scenario ~db:s.Session.db cex q ->
+             when revalidate_cex (Lazy.force checker) ~db:s.Session.db cex q ->
              keep ~why:revalidated
            | _ -> incr dropped)
         | _ -> incr dropped)
       entries
+  end
   else dropped := List.length entries;
   Cache.note_dropped t.cache !dropped;
   ok

@@ -34,13 +34,23 @@ let fingerprint (scenario : Scenario.t) =
   in
   Digest.to_hex (Digest.string printed)
 
-let check_closure (scenario : Scenario.t) db =
-  match
-    Containment.first_violation ~db ~master:scenario.Scenario.master
-      (Scenario.all_ccs scenario)
-  with
-  | Some (cc, witness) -> Some (cc.Containment.cc_name, witness)
+(* Built per request: its index store, and the RHS caches, die with
+   the request instead of riding on every open session. *)
+let checker_of (scenario : Scenario.t) =
+  Incremental.create ~schema:scenario.Scenario.db_schema
+    ~master:scenario.Scenario.master (Scenario.all_ccs scenario)
+
+let checker s = checker_of s.scenario
+
+(* The compiled checker decides whether [V] holds; only a violated
+   CC is evaluated again, interpreted, for the witness a reply
+   reports: the least tuple of [q(D) \ p(Dm)]. *)
+let witness (scenario : Scenario.t) db = function
   | None -> None
+  | Some cc ->
+    Option.map
+      (fun w -> (cc.Containment.cc_name, w))
+      (Containment.violation ~db ~master:scenario.Scenario.master cc)
 
 (* A forced [id] comes from journal replay; keep [next_id] ahead of it
    so post-recovery sessions never collide with recovered ones. *)
@@ -67,7 +77,8 @@ let open_scenario reg ?id ?name scenario =
       ccs_fingerprint = fingerprint scenario;
       db;
       epoch = 0;
-      closure_violation = check_closure scenario db;
+      closure_violation =
+        witness scenario db (Incremental.first_violated (checker_of scenario) ~db);
     }
   in
   Hashtbl.replace reg.sessions id s;
@@ -91,25 +102,33 @@ exception Reject of string
 let insert_batches s ~batches =
   match
     List.fold_left
-      (fun db (rel, rows) ->
+      (fun (db, delta) (rel, rows) ->
         try
           List.fold_left
-            (fun db row -> Database.add_tuple db rel (Tuple.make row))
-            db rows
+            (fun (db, delta) row ->
+              let row = Tuple.make row in
+              (Database.add_tuple db rel row, Database.add_tuple delta rel row))
+            (db, delta) rows
         with
         | Invalid_argument msg -> raise (Reject msg)
         | Not_found -> raise (Reject (Printf.sprintf "unknown relation %S" rel)))
-      s.db batches
+      (s.db, Database.empty (Database.schema s.db))
+      batches
   with
-  | db ->
+  | db, delta ->
     (* all batches validated against the staged database before any of
        them lands: one epoch bump, one closure re-check, whatever the
        batch count — and a rejected batch leaves the session untouched *)
+    let base = s.db in
     s.db <- db;
     s.epoch <- s.epoch + 1;
     (* a violation is monotone: once broken, stay broken without
-       re-searching; otherwise re-check against the grown database *)
-    if partially_closed s then s.closure_violation <- check_closure s.scenario db;
+       re-searching.  Otherwise the pre-insert database satisfied V,
+       so only the answers through the staged rows can escape *)
+    if partially_closed s then
+      s.closure_violation <-
+        witness s.scenario db
+          (Incremental.first_violated_delta (checker s) ~base ~delta ~db);
     Ok ()
   | exception Reject msg -> Error msg
 

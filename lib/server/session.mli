@@ -5,9 +5,17 @@
 
     The [epoch] counts database mutations; it keys the verdict cache,
     so stale verdicts are unreachable by construction.  Partial
-    closure [(D, Dm) ⊨ V] is re-checked after every insert: the paper
-    only defines RCDP on partially closed databases, and the first
-    violated constraint is kept for error reporting.
+    closure [(D, Dm) ⊨ V] is tracked across inserts: the paper only
+    defines RCDP on partially closed databases, and the first violated
+    constraint is kept for error reporting.  Both checks run on the
+    session's compiled {!Ric_constraints.Incremental} checker: a full
+    check at open, then, while the session is closed, a delta check of
+    each insert's rows against the pre-insert [D] (the parent
+    invariant), never a re-evaluation of [V] over all of [D].  Only a
+    violated constraint is evaluated again, interpreted, for the
+    witness replies report.  The checker is built per request (see
+    {!checker}), so neither its kernel indexes nor its RHS caches
+    outlive the request that built them.
 
     This module performs no locking; {!Service} serialises all access
     to a registry behind its own mutex. *)
@@ -29,6 +37,12 @@ type t = {
 }
 
 val partially_closed : t -> bool
+
+val checker : t -> Ric_constraints.Incremental.t
+(** A fresh compiled checker for the session's [V]: compiled plans,
+    RHS relations cached from [Dm], an empty index store.  Build one
+    per request and drop it with the request; keeping one alive keeps
+    its caches and every index it built. *)
 
 val find_query : t -> string -> Ric_query.Lang.t option
 
@@ -72,4 +86,13 @@ val insert_batches :
     them lands, the epoch is bumped {e once} and partial closure is
     re-checked {e once} — the unit cost that made per-tuple inserts a
     bottleneck for bulk feeds.  [Error] (the first schema violation)
-    leaves the session completely untouched. *)
+    leaves the session completely untouched.
+
+    The re-check runs only while the session is partially closed, so
+    the pre-insert [D] satisfies [V]: the staged rows are delta-checked
+    as one batch with {!Ric_constraints.Incremental.first_violated_delta}
+    (base = the pre-insert [D], delta = the staged rows), touching only
+    the constraints that read a grown relation and, for monotone-UCQ
+    ones, only the joins through a staged row.  The recorded
+    [(cc_name, witness)] is the one {!Ric_constraints.Containment.first_violation}
+    gives on the post-insert [D]. *)

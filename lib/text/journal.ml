@@ -146,10 +146,12 @@ let open_append ?(truncate = false) path =
 
 let path t = t.path
 
-let append t entry =
+(* One record under the lock: [write] puts the line's bytes on the
+   channel, then the newline and the flush end it. *)
+let write_record t write =
   Mutex.lock t.mutex;
   (try
-     output_string t.oc (Json.to_string (json_of_entry entry));
+     write t.oc;
      output_char t.oc '\n';
      flush t.oc
    with e ->
@@ -157,6 +159,36 @@ let append t entry =
      raise e);
   Mutex.unlock t.mutex;
   Ric_obs.Metrics.incr m_appends
+
+let append t entry =
+  write_record t (fun oc -> output_string oc (Json.to_string (json_of_entry entry)))
+
+(* The [open] record of [json_of_entry], field for field, with the
+   source printed through a formatter whose output goes through the
+   JSON escaper onto the channel.  A fresh formatter has the default
+   margin, as [Format.asprintf]'s has, so the layout, and hence every
+   byte, is the same. *)
+let append_opened t ~id ~name print =
+  let str oc s =
+    output_char oc '"';
+    Json.escape_to (output_substring oc) s 0 (String.length s);
+    output_char oc '"'
+  in
+  write_record t (fun oc ->
+      output_string oc "{\"r\":\"open\",\"id\":";
+      str oc id;
+      Option.iter
+        (fun n ->
+          output_string oc ",\"name\":";
+          str oc n)
+        name;
+      output_string oc ",\"source\":\"";
+      let ppf =
+        Format.make_formatter (Json.escape_to (output_substring oc)) ignore
+      in
+      Format.fprintf ppf "%t@?" print;
+      output_char oc '"';
+      output_char oc '}')
 
 let close t =
   Mutex.lock t.mutex;

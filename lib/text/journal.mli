@@ -48,6 +48,14 @@ val path : t -> string
 
 val append : t -> entry -> unit
 
+val append_opened :
+  t -> id:string -> name:string option -> (Format.formatter -> unit) -> unit
+(** [append_opened t ~id ~name print] appends the [open] record whose
+    source is what [print] prints, streamed: the printer's output goes
+    through the JSON escaper straight onto the channel, so the source
+    is never built as a string.  The bytes are exactly those of
+    [append t (Opened {id; name; source = Format.asprintf "%t" print})]. *)
+
 val close : t -> unit
 
 (** {2 Replaying} *)

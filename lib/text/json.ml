@@ -6,19 +6,36 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
+(* [emit] receives unescaped runs as substrings of [s] and each escape
+   sequence as a whole string, so a streaming caller copies the text
+   once, straight to its sink. *)
+let escape_to emit s pos len =
+  if pos < 0 || len < 0 || pos > String.length s - len then
+    invalid_arg "Json.escape_to";
+  let start = ref pos in
+  let flush_run i = if i > !start then emit s !start (i - !start) in
+  for i = pos to pos + len - 1 do
+    let esc =
+      match String.unsafe_get s i with
+      | '"' -> "\\\""
+      | '\\' -> "\\\\"
+      | '\n' -> "\\n"
+      | '\r' -> "\\r"
+      | '\t' -> "\\t"
+      | c when Char.code c < 0x20 -> Printf.sprintf "\\u%04x" (Char.code c)
+      | _ -> ""
+    in
+    if esc <> "" then begin
+      flush_run i;
+      emit esc 0 (String.length esc);
+      start := i + 1
+    end
+  done;
+  flush_run (pos + len)
+
 let escape s =
   let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+  escape_to (Buffer.add_substring buf) s 0 (String.length s);
   Buffer.contents buf
 
 let rec pp ppf = function

@@ -15,6 +15,17 @@ val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string
 
+val escape : string -> string
+(** The body of a JSON string literal holding the argument, without
+    the surrounding quotes: the escaper {!pp} applies to every string
+    and key. *)
+
+val escape_to : (string -> int -> int -> unit) -> string -> int -> int -> unit
+(** [escape_to emit s pos len] — {!escape} of [String.sub s pos len],
+    streamed: [emit str off n] is called with each unescaped run (a
+    slice of [s]) and each escape sequence, in order, so nothing is
+    built as one string. *)
+
 exception Parse_error of string * int * int
 (** message, line, column (1-based), as in {!Scenario.Parse_error}. *)
 

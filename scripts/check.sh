@@ -6,6 +6,10 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# median of three integers, for the throughput guards: one run on a
+# shared host swings by a third, the middle of three far less
+median3() { printf '%s\n' "$1" "$2" "$3" | sort -n | sed -n 2p; }
+
 echo "== dune build @all"
 dune build @all
 
@@ -424,8 +428,10 @@ RIC_BENCH_MINE_OUT="$MINE_OUT" _build/default/bench/main.exe mine \
   || { echo "FAIL: mining bench failed" >&2; rm -f "$MINE_OUT"; exit 1; }
 
 echo "== mining bench guard"
-# fresh sequential candidates/s on crm must stay within
-# RIC_BENCH_MINE_TOLERANCE_PCT (default 25) of the committed baseline
+# the median of three fresh sequential candidates/s on crm (the smoke
+# run above and two more) must stay within RIC_BENCH_MINE_TOLERANCE_PCT
+# (default 25) of the committed baseline, itself the median of five
+# runs on the host its "nproc" names
 MINE_BASELINE="BENCH_mine.json"
 if [ -f "$MINE_BASELINE" ]; then
   NTOL="${RIC_BENCH_MINE_TOLERANCE_PCT:-25}"
@@ -434,13 +440,21 @@ if [ -f "$MINE_BASELINE" ]; then
     grep -o '"seq_candidates_per_sec":[0-9]*' "$1" | head -n 1 | grep -o '[0-9]*$'
   }
   NBASE=$(mine_cps "$MINE_BASELINE")
-  NFRESH=$(mine_cps "$MINE_OUT")
-  if [ -z "$NBASE" ] || [ -z "$NFRESH" ]; then
+  mine_again() {
+    RIC_BENCH_MINE_OUT="$MINE_OUT" _build/default/bench/main.exe mine >/dev/null \
+      || { echo "FAIL: mining bench failed" >&2; return 1; }
+    mine_cps "$MINE_OUT"
+  }
+  NRUN1=$(mine_cps "$MINE_OUT")
+  NRUN2=$(mine_again) || { rm -f "$MINE_OUT"; exit 1; }
+  NRUN3=$(mine_again) || { rm -f "$MINE_OUT"; exit 1; }
+  if [ -z "$NBASE" ] || [ -z "$NRUN1" ] || [ -z "$NRUN2" ] || [ -z "$NRUN3" ]; then
     echo "FAIL: could not extract seq_candidates_per_sec for the mine guard" >&2
     rm -f "$MINE_OUT"
     exit 1
   fi
-  echo "mining candidates/s: baseline $NBASE, fresh $NFRESH (tolerance ${NTOL}%)"
+  NFRESH=$(median3 "$NRUN1" "$NRUN2" "$NRUN3")
+  echo "mining candidates/s: baseline $NBASE, fresh median $NFRESH of $NRUN1 $NRUN2 $NRUN3 (tolerance ${NTOL}%)"
   if [ $((NFRESH * 100)) -lt $((NBASE * (100 - NTOL))) ]; then
     echo "FAIL: mining is more than ${NTOL}% slower than $MINE_BASELINE" >&2
     rm -f "$MINE_OUT"
@@ -551,26 +565,37 @@ RIC_BENCH_LOAD_TUPLES="${RIC_BENCH_LOAD_TUPLES:-${LBASE_TUPLES:-1000000}}" \
   || { echo "FAIL: ingest bench failed (stream/slurp divergence?)" >&2; rm -f "$LOAD_OUT"; exit 1; }
 
 echo "== ingest bench guard"
-# fresh streaming tuples/s at the baseline's top rung must stay within
-# RIC_BENCH_LOAD_TOLERANCE_PCT (default 25) of BENCH_load.json; the
-# first stream_tuples_per_sec in the file is the top (headline) rung
+# the median of three fresh streaming tuples/s at the baseline's top
+# rung (the smoke run above and two more) must stay within
+# RIC_BENCH_LOAD_TOLERANCE_PCT (default 25) of BENCH_load.json, itself
+# the median of five runs on the host its "nproc" names; the first
+# stream_tuples_per_sec in the file is the top (headline) rung
 if [ -f "$LOAD_BASELINE" ]; then
   LTOL="${RIC_BENCH_LOAD_TOLERANCE_PCT:-25}"
   load_sps() {
     grep -o '"stream_tuples_per_sec":[0-9]*' "$1" | head -n 1 | grep -o '[0-9]*$'
   }
   LBASE=$(load_sps "$LOAD_BASELINE")
-  LFRESH=$(load_sps "$LOAD_OUT")
   LFRESH_TOP=$(sed -n 's/.*"top_tuples":\([0-9]*\).*/\1/p' "$LOAD_OUT")
-  if [ -z "$LBASE" ] || [ -z "$LFRESH" ]; then
+  load_again() {
+    RIC_BENCH_LOAD_TUPLES="$LFRESH_TOP" RIC_BENCH_LOAD_OUT="$LOAD_OUT" \
+      _build/default/bench/main.exe load >/dev/null \
+      || { echo "FAIL: ingest bench failed (stream/slurp divergence?)" >&2; return 1; }
+    load_sps "$LOAD_OUT"
+  }
+  LRUN1=$(load_sps "$LOAD_OUT")
+  LRUN2=$(load_again) || { rm -f "$LOAD_OUT"; exit 1; }
+  LRUN3=$(load_again) || { rm -f "$LOAD_OUT"; exit 1; }
+  if [ -z "$LBASE" ] || [ -z "$LRUN1" ] || [ -z "$LRUN2" ] || [ -z "$LRUN3" ]; then
     echo "FAIL: could not extract stream_tuples_per_sec for the load guard" >&2
     rm -f "$LOAD_OUT"
     exit 1
   fi
+  LFRESH=$(median3 "$LRUN1" "$LRUN2" "$LRUN3")
   if [ "$LFRESH_TOP" != "${LBASE_TUPLES:-}" ]; then
     echo "skip: fresh run at $LFRESH_TOP tuples, baseline at ${LBASE_TUPLES:-?} — not comparable"
   else
-    echo "stream tuples/s: baseline $LBASE, fresh $LFRESH (tolerance ${LTOL}%)"
+    echo "stream tuples/s: baseline $LBASE, fresh median $LFRESH of $LRUN1 $LRUN2 $LRUN3 (tolerance ${LTOL}%)"
     if [ $((LFRESH * 100)) -lt $((LBASE * (100 - LTOL))) ]; then
       echo "FAIL: streaming ingest is more than ${LTOL}% slower than $LOAD_BASELINE" >&2
       rm -f "$LOAD_OUT"

@@ -625,6 +625,105 @@ let test_journal_torn_tail () =
   Alcotest.(check int) "intact prefix replayed" 2 (List.length r.Journal.entries);
   Sys.remove path
 
+(* The streamed [open] record is byte for byte the record [append]
+   writes for the printed scenario, whatever the strings hold. *)
+let test_journal_streamed_open () =
+  let module V = Ric_relational.Value in
+  let nasty =
+    [ "plain"; "q\"uote"; "back\\slash"; "new\nline"; "tab\tcr\r"; "ctl\001\031end"; "\"\\\n" ]
+  in
+  let base = Scenario.parse easy_source in
+  let rows =
+    List.concat_map
+      (fun a -> List.map (fun b -> Ric_relational.Tuple.make [ V.Str a; V.Str b ]) nasty)
+      nasty
+    (* a long rows line, past any buffer or margin *)
+    @ List.init 3000 (fun i ->
+          Ric_relational.Tuple.make [ V.Str (Printf.sprintf "c%d" i); V.Int i ])
+  in
+  let sc =
+    {
+      base with
+      Scenario.db =
+        List.fold_left
+          (fun db t -> Ric_relational.Database.add_tuple db "Cust" t)
+          base.Scenario.db rows;
+    }
+  in
+  let path = Filename.temp_file "ric-journal" ".jsonl" in
+  List.iter
+    (fun (id, name) ->
+      let j = Journal.open_append ~truncate:true path in
+      Journal.append_opened j ~id ~name (fun ppf -> Scenario.pp ppf sc);
+      Journal.close j;
+      let written = In_channel.with_open_bin path In_channel.input_all in
+      let expected =
+        Json.to_string
+          (Journal.json_of_entry
+             (Journal.Opened { id; name; source = Format.asprintf "%a" Scenario.pp sc }))
+        ^ "\n"
+      in
+      Alcotest.(check bool) "one line" false (String.contains (String.sub written 0 (String.length written - 1)) '\n');
+      Alcotest.(check string) "streamed = materialised" expected written;
+      match (Journal.replay_file path).Journal.entries with
+      | [ Journal.Opened o ] ->
+        Alcotest.(check string) "source replays" (Format.asprintf "%a" Scenario.pp sc)
+          o.source;
+        Alcotest.(check (option string)) "name replays" name o.name
+      | _ -> Alcotest.fail "expected one open record")
+    (("s1", None) :: List.map (fun n -> ("s\"" ^ n, Some n)) nasty);
+  Sys.remove path;
+  (* the exposed escaper is the printer's, however it is chunked *)
+  List.iter
+    (fun str ->
+      let quoted = Json.to_string (Json.Str str) in
+      Alcotest.(check string) "escape = printer" quoted ("\"" ^ Json.escape str ^ "\"");
+      let buf = Buffer.create 16 in
+      String.iteri
+        (fun i _ -> Json.escape_to (Buffer.add_substring buf) str i 1)
+        str;
+      Alcotest.(check string) "escape_to per byte" (Json.escape str) (Buffer.contents buf))
+    nasty
+
+(* Sessions recovered from a journal the service wrote (streamed open
+   records included) are the sessions it had: same ids, epochs,
+   closure status and verdicts, and a torn tail is still skipped. *)
+let test_journal_recovers_sessions () =
+  let jpath = Filename.temp_file "ric-journal" ".jsonl" in
+  let svc1 = Service.create () in
+  Service.attach_journal svc1 (Journal.open_append ~truncate:true jpath);
+  let opened = Service.handle svc1 (open_req ~name:"we\"ird\nname" easy_source) in
+  let s1 = get_str "session" opened in
+  assert_ok (Service.handle svc1 (insert s1 "Cust" [ [ "c1"; "bob" ] ]));
+  let s2 = get_str "session" (Service.handle svc1 (open_req easy_source)) in
+  (* breaks the DCust bound: s2 is no longer partially closed *)
+  assert_ok (Service.handle svc1 (insert s2 "Cust" [ [ "c9"; "mallory" ] ]));
+  let oc = open_out_gen [ Open_append ] 0o644 jpath in
+  output_string oc {|{"r":"insert","id":"s1","ro|};
+  close_out oc;
+  let svc2 = Service.create () in
+  let r = Service.recover svc2 jpath in
+  Alcotest.(check int) "both sessions restored" 2 r.Service.sessions_restored;
+  Alcotest.(check bool) "torn tail tolerated" true r.Service.torn_tail;
+  List.iter
+    (fun sid ->
+      let a = Service.handle svc1 (rcdp ~nocache:true sid "Q")
+      and b = Service.handle svc2 (rcdp ~nocache:true sid "Q") in
+      Alcotest.(check int) (sid ^ " epoch") (get_int "epoch" a) (get_int "epoch" b);
+      Alcotest.(check string) (sid ^ " result")
+        (Json.to_string (get "result" a))
+        (Json.to_string (get "result" b));
+      (* a duplicate insert reports the same closure state on both *)
+      let dup svc = Service.handle svc (insert sid "Cust" [ [ "c0"; "alice" ] ]) in
+      let strip j =
+        match j with
+        | Json.Obj fs -> Json.to_string (Json.Obj (List.remove_assoc "cache" fs))
+        | _ -> Json.to_string j
+      in
+      Alcotest.(check string) (sid ^ " insert reply") (strip (dup svc1)) (strip (dup svc2)))
+    [ s1; s2 ];
+  Sys.remove jpath
+
 let test_service_recovery () =
   let jpath = Filename.temp_file "ric-journal" ".jsonl" in
   (* run 1: two sessions, one insert, one close — then "crash" *)
@@ -769,6 +868,9 @@ let () =
         [
           Alcotest.test_case "journal round trip" `Quick test_journal_roundtrip;
           Alcotest.test_case "torn tail tolerated" `Quick test_journal_torn_tail;
+          Alcotest.test_case "streamed open record" `Quick test_journal_streamed_open;
+          Alcotest.test_case "journal recovers sessions" `Quick
+            test_journal_recovers_sessions;
           Alcotest.test_case "service recovery" `Quick test_service_recovery;
           Alcotest.test_case "daemon restart with --recover" `Quick
             test_e2e_recover_after_restart;

@@ -742,6 +742,269 @@ let test_cache_key_escaping () =
   Alcotest.(check bool) "slashed session escapes the prefix" false
     (prefixed k5 ~prefix:p)
 
+
+(* ------------------------------------------------------------------ *)
+(* Closure tracking against the interpreted oracle: after open and
+   after every insert of a closed session, the (constraint, witness)
+   a session records is exactly Containment.first_violation's on its
+   database.  Once violated, a session keeps its violation: V is
+   monotone, so no insert can repair it. *)
+
+module Scenario = Ric_text.Scenario
+module Containment = Ric_constraints.Containment
+module Value = Ric_relational.Value
+module Tuple = Ric_relational.Tuple
+module Database = Ric_relational.Database
+
+let violation_t =
+  Alcotest.(option (pair string (testable Ric_relational.Tuple.pp Tuple.equal)))
+
+let oracle (sc : Scenario.t) db =
+  Option.map
+    (fun (cc, w) -> (cc.Containment.cc_name, w))
+    (Containment.first_violation ~db ~master:sc.Scenario.master (Scenario.all_ccs sc))
+
+(* Open [sc], then apply [inserts] (each one insert_batches call),
+   checking the session against the oracle after every step.  Returns
+   how many inserts were rejected and how many found a violation. *)
+let run_against_oracle ?(what = "") (sc : Scenario.t) inserts =
+  let s = Session.open_scenario (Session.create ()) sc in
+  Alcotest.check violation_t (what ^ "open") (oracle sc s.Session.db)
+    s.Session.closure_violation;
+  List.fold_left
+    (fun (rejected, violated) batches ->
+      let db0 = s.Session.db
+      and epoch0 = s.Session.epoch
+      and v0 = s.Session.closure_violation in
+      match Session.insert_batches s ~batches with
+      | Error _ ->
+        Alcotest.(check bool) (what ^ "rejected: db untouched") true (s.Session.db == db0);
+        Alcotest.(check int) (what ^ "rejected: epoch untouched") epoch0 s.Session.epoch;
+        Alcotest.check violation_t (what ^ "rejected: violation untouched") v0
+          s.Session.closure_violation;
+        (rejected + 1, violated)
+      | Ok () ->
+        Alcotest.(check int) (what ^ "one epoch per insert") (epoch0 + 1) s.Session.epoch;
+        if v0 = None then begin
+          Alcotest.check violation_t (what ^ "insert") (oracle sc s.Session.db)
+            s.Session.closure_violation;
+          (rejected, if s.Session.closure_violation = None then violated else violated + 1)
+        end
+        else begin
+          Alcotest.check violation_t (what ^ "violation kept") v0
+            s.Session.closure_violation;
+          (rejected, violated)
+        end)
+    (0, 0) inserts
+
+let scenarios_dir () =
+  if Sys.file_exists "../../../scenarios" then "../../../scenarios" else "scenarios"
+
+(* Random inserts for any scenario: each cell is drawn from the values
+   its column already holds (so single-column bounds mostly hold), now
+   and then a base row is repeated or a fresh value breaks a bound. *)
+let random_inserts rng (sc : Scenario.t) ~n =
+  let rels =
+    Database.fold
+      (fun name rel acc ->
+        let rows = Ric_relational.Relation.elements rel in
+        if rows = [] then acc else (name, Array.of_list (List.map Tuple.values rows)) :: acc)
+      sc.Scenario.db []
+    |> Array.of_list
+  in
+  let row rows =
+    if Random.State.int rng 8 = 0 then rows.(Random.State.int rng (Array.length rows))
+    else
+      List.mapi
+        (fun i _ ->
+          if Random.State.int rng 40 = 0 then Value.Str "fresh-value"
+          else List.nth rows.(Random.State.int rng (Array.length rows)) i)
+        rows.(0)
+  in
+  List.init n (fun _ ->
+      List.init
+        (1 + Random.State.int rng 3)
+        (fun _ ->
+          let name, rows = rels.(Random.State.int rng (Array.length rels)) in
+          (name, List.init (1 + Random.State.int rng 4) (fun _ -> row rows))))
+
+let test_closure_oracle_scenarios () =
+  let dir = scenarios_dir () in
+  let files =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".ric")
+    |> List.sort compare
+  in
+  Alcotest.(check bool) "scenarios found" true (files <> []);
+  List.iter
+    (fun f ->
+      let sc = Scenario.load (Filename.concat dir f) in
+      for seed = 0 to 19 do
+        let rng = Random.State.make [| seed |] in
+        ignore (run_against_oracle ~what:(f ^ ": ") sc (random_inserts rng sc ~n:6))
+      done)
+    files
+
+(* A telco-shaped scenario: single-column bounds, the FD-derived
+   self-join OneRate, and NoUnbilled, an FO constraint outside the
+   monotone-UCQ fragment that the checker evaluates in full. *)
+let telco_source =
+  {|
+  schema Call(src, dst, dur).
+  schema Bill(cust, rate, amt).
+  master MCust(cust).
+  master MRate(rate, price).
+  rows MCust { (c0) (c1) (c2) (c3) (c4) (c5) }.
+  rows MRate { (r0, 10) (r1, 20) (r2, 30) }.
+  rows Call { (c0, c1, 5) (c1, c2, 7) }.
+  rows Bill { (c0, r0, 3) (c1, r1, 4) (c2, r2, 1) }.
+  query QB(c) :- Call(c, d, u), Bill(c, r, a).
+  constraint CallSrc(s) :- Call(s, d, u) => MCust[0].
+  constraint CallDst(d) :- Call(s, d, u) => MCust[0].
+  constraint BillCust(c) :- Bill(c, r, a) => MCust[0].
+  constraint BillRate(r) :- Bill(c, r, a) => MRate[0].
+  fd OneRate Bill: cust -> rate.
+|}
+
+let telco_scenario () =
+  let open Ric_query in
+  let v = Term.var in
+  let sc = Scenario.parse telco_source in
+  let no_unbilled =
+    Containment.make ~name:"NoUnbilled"
+      (Lang.Q_fo
+         (Fo.make ~head:[ v "s" ]
+            (Fo.conj
+               [
+                 Fo.Exists ([ "d"; "u" ], Fo.Atom (Atom.make "Call" [ v "s"; v "d"; v "u" ]));
+                 Fo.Not
+                   (Fo.Exists ([ "r"; "a" ], Fo.Atom (Atom.make "Bill" [ v "s"; v "r"; v "a" ])));
+               ])))
+      Ric_constraints.Projection.Empty
+  in
+  Scenario.with_ccs sc (sc.Scenario.ccs @ [ ("NoUnbilled", no_unbilled) ])
+
+let base_rows =
+  [
+    ("Call", [ Value.Str "c0"; Value.Str "c1"; Value.Int 5 ]);
+    ("Bill", [ Value.Str "c1"; Value.Str "r1"; Value.Int 4 ]);
+  ]
+
+let gen_row =
+  let open QCheck.Gen in
+  let cust = int_bound 5 in
+  let c i = Value.Str (Printf.sprintf "c%d" i) and r i = Value.Str (Printf.sprintf "r%d" i) in
+  frequency
+    [
+      (* admissible: a billed caller, a bill at the customer's rate *)
+      ( 4,
+        map3 (fun s d u -> ("Call", [ c (s mod 3); c d; Value.Int u ])) cust cust (int_range 1 9) );
+      (4, map2 (fun k a -> ("Bill", [ c k; r (k mod 3); Value.Int a ])) cust (int_range 1 9));
+      (2, oneofl base_rows);
+      (* violating: an unknown customer, a second rate, an unbilled caller *)
+      (1, map (fun u -> ("Call", [ Value.Str "x9"; c 0; Value.Int u ])) (int_range 1 9));
+      (1, map (fun k -> ("Bill", [ c k; r ((k + 1) mod 3); Value.Int 7 ])) cust);
+      (1, map (fun u -> ("Call", [ c 4; c 0; Value.Int u ])) (int_range 1 9));
+      (* schema errors: wrong arity, unknown relation *)
+      (1, return ("Call", [ Value.Str "c0" ]));
+      (1, return ("Nope", [ Value.Str "c0" ]));
+    ]
+
+(* one insert: its rows grouped into batches of consecutive rows of
+   one relation *)
+let batches_of rows =
+  List.fold_right
+    (fun (rel, row) acc ->
+      match acc with
+      | (rel', rows) :: rest when String.equal rel rel' -> (rel, row :: rows) :: rest
+      | _ -> (rel, [ row ]) :: acc)
+    rows []
+
+let gen_inserts =
+  QCheck.Gen.(list_size (int_range 1 5) (map batches_of (list_size (int_range 1 8) gen_row)))
+
+let print_inserts inserts =
+  let batch (rel, rows) =
+    rel ^ String.concat "" (List.map (fun r -> Format.asprintf "%a" Tuple.pp (Tuple.make r)) rows)
+  in
+  String.concat " ; " (List.map (fun b -> String.concat " " (List.map batch b)) inserts)
+
+let prop_closure_oracle_telco =
+  let sc = telco_scenario () in
+  QCheck.Test.make ~count:300 ~name:"session closure = interpreted oracle (telco)"
+    (QCheck.make ~print:print_inserts gen_inserts)
+    (fun inserts ->
+      ignore (run_against_oracle sc inserts);
+      true)
+
+(* The generator must reach every path it claims to: rejected batches,
+   violating inserts and inserts that keep the session closed. *)
+let test_closure_oracle_coverage () =
+  let sc = telco_scenario () in
+  let rand = Random.State.make [| 7 |] in
+  let rejected = ref 0 and violated = ref 0 and runs = ref 0 in
+  for _ = 1 to 200 do
+    let r, v = run_against_oracle sc (QCheck.Gen.generate1 ~rand gen_inserts) in
+    rejected := !rejected + r;
+    violated := !violated + v;
+    incr runs
+  done;
+  Alcotest.(check bool) "some inserts rejected" true (!rejected > 0);
+  Alcotest.(check bool) "some inserts violate" true (!violated > 0);
+  Alcotest.(check bool) "some runs stay closed" true (!violated < !runs);
+  (* each constraint family is the one blamed somewhere *)
+  let blamed name batches =
+    let s = Session.open_scenario (Session.create ()) sc in
+    Alcotest.(check bool) "opens closed" true (Session.partially_closed s);
+    (match Session.insert_batches s ~batches with
+     | Ok () -> ()
+     | Error m -> Alcotest.failf "insert rejected: %s" m);
+    Alcotest.check violation_t name (oracle sc s.Session.db) s.Session.closure_violation;
+    match s.Session.closure_violation with
+    | Some (cc, _) ->
+      (* FD-derived CCs are named after their FD: OneRate_pair_col1 *)
+      Alcotest.(check bool) (name ^ " blamed") true (String.starts_with ~prefix:name cc)
+    | None -> Alcotest.failf "%s: no violation recorded" name
+  in
+  blamed "CallSrc" [ ("Call", [ [ Value.Str "x9"; Value.Str "c0"; Value.Int 1 ] ]) ];
+  (* two rows of one batch conflict: only the overlay sees it *)
+  blamed "OneRate"
+    [
+      ( "Bill",
+        [
+          [ Value.Str "c3"; Value.Str "r0"; Value.Int 1 ];
+          [ Value.Str "c3"; Value.Str "r1"; Value.Int 2 ];
+        ] );
+    ];
+  blamed "NoUnbilled" [ ("Call", [ [ Value.Str "c5"; Value.Str "c0"; Value.Int 1 ] ]) ]
+
+(* A UCQ decide on a session ricd already knows to be closed runs no
+   full check of V at the root of each disjunct's search. *)
+let test_rcdp_skips_root_checks () =
+  let source =
+    scenario_source ^ {|
+  query QU(c) :- Cust(c, n) | Supt(e, c).
+|}
+  in
+  let svc = Service.create () in
+  let sid = get_str "session" (Service.handle svc (open_req source)) in
+  let full = Ric_obs.Metrics.counter "ric_incremental_full_checks_total" in
+  let before = Ric_obs.Metrics.counter_value full in
+  let r = Service.handle svc (rcdp ~nocache:true sid "QU") in
+  assert_ok r;
+  Alcotest.(check int) "no full checks for a closed session" before
+    (Ric_obs.Metrics.counter_value full);
+  (* the verdict is the one-shot decide's, which still checks *)
+  let sc = Scenario.parse source in
+  let one_shot =
+    Ric_complete.Rcdp.decide ~schema:sc.Scenario.db_schema ~master:sc.Scenario.master
+      ~ccs:(Scenario.all_ccs sc) ~db:sc.Scenario.db
+      (Option.get (Scenario.find_query sc "QU"))
+  in
+  Alcotest.(check string) "same verdict"
+    (match one_shot with Ric_complete.Rcdp.Complete -> "complete" | _ -> "incomplete")
+    (verdict_of r)
+
 let () =
   Alcotest.run "service"
     [
@@ -773,6 +1036,14 @@ let () =
           Alcotest.test_case "bad insert rejected" `Quick test_service_bad_insert_rejected;
           Alcotest.test_case "explain profile" `Quick test_service_explain_profile;
           Alcotest.test_case "flight-recorder dump op" `Quick test_service_dump;
+          Alcotest.test_case "closed rcdp skips root checks" `Quick
+            test_rcdp_skips_root_checks;
+        ] );
+      ( "closure oracle",
+        [
+          Alcotest.test_case "scenarios" `Quick test_closure_oracle_scenarios;
+          Alcotest.test_case "generator coverage" `Quick test_closure_oracle_coverage;
+          QCheck_alcotest.to_alcotest prop_closure_oracle_telco;
         ] );
       ( "end to end",
         [
